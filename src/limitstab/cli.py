@@ -20,6 +20,7 @@ ascend, crossing data sort by (deg beta1, n1).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -72,7 +73,13 @@ class ModelConfig:
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
         if self.model_path:
-            return load_model(self.model_path)
+            try:
+                return load_model(self.model_path)
+            except (OSError, UnicodeDecodeError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise UsageError(
+                    f"cannot read model file {self.model_path}: {reason}"
+                ) from None
         raise UsageError("no model: pass --preset or --model, or set LIMITSTAB_MODEL")
 
 
@@ -224,6 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", required=True)
     p.add_argument("--format", choices=("text", "svg"), default="text")
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _cmd_walls(args, out) -> int:
@@ -382,8 +395,7 @@ def _merge_option_values(argv: List[str]) -> List[str]:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(_merge_option_values(
+    args = _parser().parse_args(_merge_option_values(
         list(sys.argv[1:] if argv is None else argv)
     ))
     try:

@@ -32,17 +32,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ModelParseError
 from .geometry import CurveClass, NumericalThreefold
 
 _SECTIONS = ("basis", "m_table", "n_table", "p_seed")
+_SCALARS = ("omega_cubed", "c2_omega")
+_RATIONAL = re.compile(r"(-?\d+)\s*(?:/\s*(-?\d+))?")
+_SEEDED_KEY = re.compile(r"(-?\d+)\s+(\(.*\))")
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(-?\d+))?", text)
+    m = _RATIONAL.fullmatch(text)
     if not m:
         raise ModelParseError(f"malformed rational {text!r}", line)
     num = int(m.group(1))
@@ -74,58 +77,80 @@ def format_class(gamma: CurveClass) -> str:
     return "(" + ",".join(str(c) for c in gamma.coeffs) + ")"
 
 
-def _split_kv(raw: str, line: int) -> Tuple[str, str]:
-    if "=" not in raw:
-        raise ModelParseError(f"expected 'key = value', got {raw!r}", line)
-    key, _, value = raw.partition("=")
-    return key.strip(), value.strip()
+def _duplicate(section: Optional[str], key, line: int, first: int) -> ModelParseError:
+    if section is None:
+        what = f"top-level key {key!r}"
+    elif section == "basis":
+        what = f"basis name {key!r}"
+    elif section == "m_table":
+        what = f"m_table class {format_class(key)}"
+    else:
+        what = f"{section} entry {key[0]} {format_class(key[1])}"
+    return ModelParseError(f"duplicate {what} (first given on line {first})", line)
 
 
 def parse_model(text: str, name: str = "custom") -> NumericalThreefold:
-    scalars: Dict[str, Fraction] = {}
-    basis = []
-    m_table: Dict[CurveClass, Fraction] = {}
-    n_table: Dict[Tuple[int, CurveClass], Fraction] = {}
-    p_seed: Dict[Tuple[int, CurveClass], Fraction] = {}
-    section = None
+    """Read model-file text in one pass over its lines.
+
+    Each distinct class text and value text is converted once per call.  A
+    repeated top-level key, basis name, m class or (n, class) entry is an
+    error naming both lines.
+    """
+    tables: Dict[Optional[str], dict] = {s: {} for s in (None,) + _SECTIONS}
+    first_line: Dict[Tuple[Optional[str], object], int] = {}
+    classes: Dict[str, CurveClass] = {}
+    values: Dict[str, Fraction] = {}
+    section, target = None, tables[None]
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ModelParseError(f"unknown section [{section}]", lineno)
+            target = tables[section]
             continue
-        key, value = _split_kv(stripped, lineno)
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ModelParseError(f"expected 'key = value', got {line!r}", lineno)
+        key = key.strip()
         if section is None:
-            if key not in ("omega_cubed", "c2_omega"):
+            if key not in _SCALARS:
                 raise ModelParseError(f"unknown top-level key {key!r}", lineno)
-            scalars[key] = parse_rational(value, lineno)
-        elif section == "basis":
-            basis.append((key, parse_rational(value, lineno)))
-        elif section == "m_table":
-            m_table[parse_class(key, lineno)] = parse_rational(value, lineno)
-        else:
-            m = re.fullmatch(r"(-?\d+)\s+(\(.*\))", key)
-            if not m:
-                raise ModelParseError(
-                    f"expected 'n (class) = value' in [{section}], got {stripped!r}",
-                    lineno,
-                )
-            entry = (int(m.group(1)), parse_class(m.group(2), lineno))
-            target = n_table if section == "n_table" else p_seed
-            target[entry] = parse_rational(value, lineno)
+        elif section != "basis":
+            n, class_text = None, key
+            if section != "m_table":
+                m = _SEEDED_KEY.fullmatch(key)
+                if not m:
+                    raise ModelParseError(
+                        f"expected 'n (class) = value' in [{section}], got {line!r}",
+                        lineno,
+                    )
+                n, class_text = int(m.group(1)), m.group(2)
+            gamma = classes.get(class_text)
+            if gamma is None:
+                gamma = classes[class_text] = parse_class(class_text, lineno)
+            key = gamma if n is None else (n, gamma)
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise _duplicate(section, key, lineno, first)
+        value = value.strip()
+        number = values.get(value)
+        if number is None:
+            number = values[value] = parse_rational(value, lineno)
+        target[key] = number
+    scalars = tables[None]
     if "omega_cubed" not in scalars:
         raise ModelParseError("model is missing omega_cubed")
     try:
         return NumericalThreefold(
-            basis=tuple(basis),
+            basis=tuple(tables["basis"].items()),
             omega_cubed=scalars["omega_cubed"],
             c2_omega=scalars.get("c2_omega", Fraction(0)),
-            m_table=m_table,
-            n_table=n_table,
-            p_seed=p_seed,
+            m_table=tables["m_table"],
+            n_table=tables["n_table"],
+            p_seed=tables["p_seed"],
             name=name,
         )
     except ValueError as exc:

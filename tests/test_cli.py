@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from limitstab.cli import main
+from limitstab.cli import _parser, main
 from limitstab.modelio import save_model
 from limitstab.presets import conifold_double
 
@@ -155,6 +155,73 @@ def test_preset_and_model_are_mutually_exclusive(tmp_path, capsys):
     )
     assert code == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_model_is_a_usage_error(tmp_path, monkeypatch, capsys, kind, via_env):
+    path = tmp_path / "m.model"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"omega_cubed = \xff\n")
+    argv = ["walls", "--beta", "1", "--range", "-1:0"]
+    if via_env:
+        monkeypatch.setenv("LIMITSTAB_MODEL", str(path))
+    else:
+        argv += ["--model", str(path)]
+    code, text = run_cli(*argv)
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read model file {path}: ")
+    assert err.count("\n") == 1
+    if kind == "missing":
+        assert err.endswith(": No such file or directory\n")
+
+
+def test_reusing_the_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
+    """A sequence of calls on one parser gives what each call gives alone."""
+    path = str(tmp_path / "m.model")
+    table = ("table", "--beta", "2", "--n", "3", "--range", "-2:0")
+    steps = (
+        # (model in the file, LIMITSTAB_MODEL set, argv)
+        (conifold_double(1), False, ("table", "--preset", "conifold_double:1",
+                                     "--beta", "2", "--n", "4", "--range", "-2:0")),
+        (conifold_double(1), False, ("walls", "--model", path, "--beta", "2", "--range", "-2:0")),
+        (conifold_double(1), False, ("mu", "--preset", "conifold_pair:3,2", "--beta", "1,1", "--n", "2")),
+        (conifold_double(1), False, ("cross", "--beta", "2", "--n")),
+        (conifold_double(1), True, table),
+        (conifold_double(2), True, table),
+        (conifold_double(2), False, table),
+        (conifold_double(2), False, ("compare", "--model", path, "--f", "0,0,(1),2",
+                                     "--e", "-1,0,(2),3", "--k", "-1")),
+    )
+
+    def run(model, env, argv):
+        save_model(model, path)
+        if env:
+            monkeypatch.setenv("LIMITSTAB_MODEL", path)
+        else:
+            monkeypatch.delenv("LIMITSTAB_MODEL", raising=False)
+        out = io.StringIO()
+        try:
+            code = main(list(argv), out=out)
+        except SystemExit as exc:
+            code = exc.code
+        return code, out.getvalue(), capsys.readouterr().err
+
+    in_sequence = [run(*step) for step in steps]
+    alone = []
+    for step in steps:
+        _parser.cache_clear()
+        alone.append(run(*step))
+    assert in_sequence == alone
+    codes = [code for code, _, _ in in_sequence]
+    assert codes == [0, 0, 0, 2, 0, 0, 2, 0]
+    assert "expected one argument" in in_sequence[3][2]
+    assert "no model" in in_sequence[6][2]
+    # the file is read again on every call: new contents, new table
+    assert in_sequence[4][1] != in_sequence[5][1]
 
 
 def test_model_error_exit_code(tmp_path):

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitstab.errors import ModelParseError
-from limitstab.geometry import CurveClass
+from limitstab.geometry import CurveClass, NumericalThreefold
 from limitstab.modelio import (
     format_rational,
     load_model,
@@ -80,18 +81,114 @@ def test_rational_parsing():
         parse_rational("0.5")
 
 
+HEAD = "omega_cubed = 6\n[basis]\nC = 1\n"
+
+
+# (text, line of the error, message pattern): one case per error branch
+_LINE_ERRORS = [
+    ("omega_cubed = 6\n[nonsense]\n", 2, "unknown section"),
+    ("omega_cubed = 6\nnot a kv line\n", 2, "expected 'key = value'"),
+    ("omega_cubed = 6\nscale = 2\n", 2, "unknown top-level key"),
+    ("# comment\n\nomega_cubed = six\n", 3, "malformed rational"),
+    (HEAD + "D = 1/0\n", 4, "zero denominator"),
+    (HEAD + "[m_table]\n(1) = 1/0\n", 5, "zero denominator"),
+    (HEAD + "[m_table]\n() = 1\n", 5, "empty class tuple"),
+    (HEAD + "[m_table]\n(1,x) = 1\n", 5, "malformed class tuple"),
+    (HEAD + "[p_seed]\n(1) = 1\n", 5, "expected 'n \\(class\\) = value'"),
+    (HEAD + "[n_table]\n1 (a) = 1\n", 5, "malformed class tuple"),
+    (HEAD + "[n_table]\n1 (1) = x\n", 5, "malformed rational"),
+    # texts converted on an earlier line do not hide a later bad line
+    (HEAD + "[n_table]\n1 (1) = 1\n2 (1) = 1/0\n", 6, "zero denominator"),
+    (HEAD + "[m_table]\n(1) = 1\n[p_seed]\n1 (1) = 1\n2 (1,) = 1\n", 8,
+     "malformed class tuple"),
+    (HEAD + "[m_table]\n(1) = 1\n(1) = 5\n", 6, "duplicate m_table class"),
+]
+
+
 def test_parse_errors_carry_line_numbers():
-    bad = "omega_cubed = 6\n[m_table]\n(1) = 1/0\n"
-    with pytest.raises(ModelParseError, match="line 3"):
-        parse_model(bad)
-    with pytest.raises(ModelParseError, match="line 2"):
-        parse_model("omega_cubed = 6\n[nonsense]\n")
-    with pytest.raises(ModelParseError, match="line 2"):
-        parse_model("omega_cubed = 6\nnot a kv line\n")
-    with pytest.raises(ModelParseError, match="missing omega_cubed"):
+    for text, line, match in _LINE_ERRORS:
+        with pytest.raises(ModelParseError, match=match) as info:
+            parse_model(text)
+        assert info.value.line == line, text
+        assert str(info.value).startswith(f"line {line}: "), text
+
+
+def test_whole_model_errors_carry_no_line_number():
+    with pytest.raises(ModelParseError, match="missing omega_cubed") as info:
         parse_model("[basis]\nC = 1\n")
-    with pytest.raises(ModelParseError, match="expected 'n \\(class\\)"):
-        parse_model("omega_cubed = 6\n[p_seed]\n(1) = 1\n")
+    assert info.value.line is None
+    with pytest.raises(ModelParseError, match="invalid model") as info:
+        parse_model("omega_cubed = 6\n")
+    assert info.value.line is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("omega_cubed = 6\nc2_omega = 0\nomega_cubed = 7\n",
+         "line 3: duplicate top-level key 'omega_cubed' (first given on line 1)"),
+        (HEAD + "C = 2\n", "line 4: duplicate basis name 'C' (first given on line 3)"),
+        (HEAD + "[m_table]\n(1) = 1\n(1) = 5\n",
+         "line 6: duplicate m_table class (1) (first given on line 5)"),
+        ("omega_cubed = 6\n[basis]\nC = 1\nD = 1\n[m_table]\n(1,0) = 1\n( 1, 0 ) = 1\n",
+         "line 7: duplicate m_table class (1,0) (first given on line 6)"),
+        (HEAD + "[m_table]\n(1) = 1\n[n_table]\n1 (1) = 1\n[m_table]\n(1) = 2\n",
+         "line 9: duplicate m_table class (1) (first given on line 5)"),
+        (HEAD + "[n_table]\n1 (1) = 1\n-1 (1) = 1\n1 (1) = 2\n",
+         "line 7: duplicate n_table entry 1 (1) (first given on line 5)"),
+        (HEAD + "[p_seed]\n-2 (1) = 0\n-2  (1) = 0\n",
+         "line 6: duplicate p_seed entry -2 (1) (first given on line 5)"),
+    ],
+)
+def test_repeated_entries_are_rejected(text, message):
+    with pytest.raises(ModelParseError) as info:
+        parse_model(text)
+    assert str(info.value) == message
+
+
+def test_same_entry_in_n_table_and_p_seed_is_not_a_repeat():
+    model = parse_model(HEAD + "[n_table]\n1 (1) = 1\n[p_seed]\n1 (1) = 2\n")
+    assert model.n_table == {(1, CurveClass((1,))): 1}
+    assert model.p_seed == {(1, CurveClass((1,))): 2}
+
+
+_RATIONALS = st.builds(F, st.integers(-35, 35), st.integers(1, 7))
+_POSITIVE = st.builds(F, st.integers(1, 35), st.integers(1, 7))
+
+
+@st.composite
+def _models(draw):
+    rank = draw(st.integers(1, 3))
+    names = draw(st.lists(
+        st.from_regex(r"[A-Z][a-z0-9_]{0,3}", fullmatch=True),
+        min_size=rank, max_size=rank, unique=True,
+    ))
+    classes = st.tuples(*[st.integers(-2, 3)] * rank).map(CurveClass)
+    entries = st.tuples(st.integers(-6, 6), classes)
+    return NumericalThreefold(
+        basis=tuple((nm, draw(_POSITIVE)) for nm in names),
+        omega_cubed=draw(_POSITIVE),
+        c2_omega=draw(_RATIONALS),
+        m_table=draw(st.dictionaries(
+            classes.filter(lambda g: not g.is_zero()), _RATIONALS, max_size=6)),
+        n_table=draw(st.dictionaries(entries, _RATIONALS, max_size=8)),
+        p_seed=draw(st.dictionaries(entries, _RATIONALS, max_size=8)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models())
+def test_parse_inverts_serialize(model):
+    text = serialize_model(model)
+    again = parse_model(text)
+    assert again.basis == model.basis
+    assert again.omega_cubed == model.omega_cubed
+    assert again.c2_omega == model.c2_omega
+    assert again.m_table == dict(model.m_table)
+    assert again.n_table == dict(model.n_table)
+    assert again.p_seed == dict(model.p_seed)
+    assert again.name == model.name
+    assert serialize_model(again) == text
 
 
 def test_validation_errors_name_the_invariant():
