@@ -1,39 +1,30 @@
 #!/usr/bin/env python3
 """Recompute every bundled chamber table from its seeds and print the results.
 
-Walks the three preset geometries, marches the crossing recursion over each
-tabulated (beta, n), and prints the merged tables, the per-wall crossing
-reports, and the dual-count relation rows.  Everything is exact; the output
-is deterministic and suitable for diffing.
+Walks the reference tables that ``limitstab verify`` checks, marches the
+crossing recursion over each tabulated (beta, n), and prints the merged
+tables, the crossing rows of every wall with a jump or a missing count (in
+the TSV form of ``limitstab cross``), and the dual-count relation rows.
+Everything is exact; the output is deterministic and suitable for diffing.
 """
 
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from limitstab.crossing import TableCache, chamber_table, pt_symmetry_check
-from limitstab.geometry import CurveClass
 from limitstab.modelio import format_rational as fr
-from limitstab.presets import conifold_double, conifold_pair, conifold_single
-from limitstab.render import render_text
-
-F = Fraction
-
-RUNS = (
-    (conifold_single(1), CurveClass((1,)), [(n, F(-n, 2) - 1, F(0) if n > 1 else F(1, 4)) for n in (1, 2, 3, 4)], 4),
-    (conifold_pair(3, 2), CurveClass((1, 1)), [(1, F(-1, 2), F(0)), (2, F(-1, 2), F(0))], None),
-    (conifold_double(1), CurveClass((2,)), [(3, F(-2), F(0)), (4, F(-2), F(0))], None),
-)
+from limitstab.render import render_report, render_text
+from limitstab.verify import reference_tables
 
 
 def main() -> int:
-    for model, beta, windows, n_max in RUNS:
+    for model, beta, n_max, rows in reference_tables():
         print("=" * 72)
         print(f"model {model.name}, beta = {beta}")
         cache = TableCache()
-        for n, lo, hi in windows:
+        for n, lo, hi, *_ in rows:
             table = chamber_table(model, beta, n, lo, hi, cache)
             print()
             print(render_text(table), end="")
@@ -41,17 +32,7 @@ def main() -> int:
                 if report.total == 0 and not any(t.missing_n for t in report.terms):
                     continue
                 print(f"  crossing at k = {fr(report.k0)} (jump {fr(report.total)}):")
-                for t in report.terms:
-                    if t.missing_n:
-                        n_txt = "missing"
-                    elif t.n_value is None:
-                        n_txt = "-"
-                    else:
-                        n_txt = fr(t.n_value)
-                    print(
-                        f"    {t.datum}  coeff={t.coefficient}  N={n_txt}  "
-                        f"contribution={fr(t.contribution)}"
-                    )
+                print(render_report(report), end="")
         if n_max:
             print()
             print(f"dual-count relation up to n = {n_max}:")

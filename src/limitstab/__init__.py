@@ -48,7 +48,6 @@ from .geometry import (
     effective_below,
     min_ch3,
 )
-from .cli import ModelConfig
 from .modelio import load_model, parse_model, save_model, serialize_model
 from .presets import conifold_double, conifold_pair, conifold_single
 from .walls import Chamber, WallSet, chambers, mu_threshold, pt_bounds, wall_set
@@ -92,7 +91,6 @@ __all__ = [
     "degree",
     "effective_below",
     "min_ch3",
-    "ModelConfig",
     "load_model",
     "parse_model",
     "save_model",

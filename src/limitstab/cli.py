@@ -24,7 +24,6 @@ import functools
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -42,45 +41,13 @@ from .geometry import CurveClass
 from .modelio import format_rational, load_model, parse_class, parse_rational
 from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
-from .render import render_svg, render_text
+from .render import render_report, render_svg, render_text
 from .verify import run_verification
 from .walls import mu_threshold, pt_bounds, wall_set
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Where the model comes from (preset xor file) and how to format output."""
-
-    preset: Optional[str] = None
-    preset_args: Tuple[Fraction, ...] = ()
-    model_path: Optional[str] = None
-    output: str = "tsv"
-
-    def __post_init__(self):
-        if self.preset and self.model_path:
-            raise UsageError("--preset and --model are mutually exclusive")
-        if self.output not in ("tsv", "text", "svg"):
-            raise UsageError(f"unknown output format {self.output!r}")
-
-    def resolve(self):
-        if self.preset:
-            try:
-                return build_preset(self.preset, self.preset_args)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        if self.model_path:
-            try:
-                return load_model(self.model_path)
-            except (OSError, UnicodeDecodeError) as exc:
-                reason = getattr(exc, "strerror", None) or exc
-                raise UsageError(
-                    f"cannot read model file {self.model_path}: {reason}"
-                ) from None
-        raise UsageError("no model: pass --preset or --model, or set LIMITSTAB_MODEL")
 
 
 def _parse_rational_arg(text: str) -> Fraction:
@@ -122,28 +89,34 @@ def _parse_chern(text: str) -> ChernCharacter:
     )
 
 
-def _config_from_args(args) -> ModelConfig:
-    preset = getattr(args, "preset", None)
-    path = getattr(args, "model", None)
-    name, params = None, ()
-    if preset:
-        name, _, argtext = preset.partition(":")
+def _resolve_model(args):
+    """Build the preset or read the model file that the arguments name.
+
+    Without --preset and --model the path comes from $LIMITSTAB_MODEL.
+    """
+    name, path = None, args.model
+    if args.preset:
+        name, _, argtext = args.preset.partition(":")
         name = name.strip()
         params = tuple(
             _parse_rational_arg(p) for p in argtext.split(",") if p.strip() != ""
         )
-    if not preset and not path:
+    elif not path:
         path = os.environ.get("LIMITSTAB_MODEL")
-    return ModelConfig(
-        preset=name,
-        preset_args=params,
-        model_path=path,
-        output=getattr(args, "format", None) or "tsv",
-    )
-
-
-def _resolve_model(args):
-    return _config_from_args(args).resolve()
+    if name and path:
+        raise UsageError("--preset and --model are mutually exclusive")
+    if name:
+        try:
+            return build_preset(name, params)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    if path:
+        try:
+            return load_model(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise UsageError(f"cannot read model file {path}: {reason}") from None
+    raise UsageError("no model: pass --preset or --model, or set LIMITSTAB_MODEL")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -294,18 +267,7 @@ def _cmd_cross(args, out) -> int:
     l_minus = invariant_value(model, beta, args.n, k0, from_right=False, cache=cache)
     l_plus, report = cross_wall(model, beta, args.n, k0, l_minus, cache)
     out.write(f"wall\t{format_rational(report.k0)}\n")
-    for t in report.terms:
-        if t.missing_n:
-            n_txt = "missing"
-        elif t.n_value is None:
-            n_txt = "-"
-        else:
-            n_txt = format_rational(t.n_value)
-        l_txt = "-" if t.l_value is None else format_rational(t.l_value)
-        out.write(
-            f"datum\t{t.datum}\tcoeff={t.coefficient}\tN={n_txt}\tL0={l_txt}"
-            f"\tcontribution={format_rational(t.contribution)}\n"
-        )
+    out.write(render_report(report))
     out.write(f"total\t{format_rational(report.total)}\n")
     out.write(f"L_minus\t{format_rational(l_minus)}\n")
     out.write(f"L_plus\t{format_rational(l_plus)}\n")
@@ -403,10 +365,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except LimitStabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (LimitStabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

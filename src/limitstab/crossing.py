@@ -115,6 +115,16 @@ class TableCache:
             raise ValueError("a TableCache cannot be shared between models")
 
 
+def _bound_cache(cache: Optional[TableCache], model: NumericalThreefold) -> TableCache:
+    """``cache``, or a fresh TableCache for None, bound to ``model``."""
+    # TableCache is read from the module at call time, so a subclass bound to
+    # that name (perfbench's tracer counts memo entries this way) is the one made
+    if cache is None:
+        cache = TableCache()
+    cache.bind(model)
+    return cache
+
+
 def enumerate_wall_data(
     model: NumericalThreefold, beta: CurveClass, n: int, k0
 ) -> List[WallDatum]:
@@ -150,9 +160,7 @@ def l_at_wall(
     delta_{n2,0} for beta2 = 0; the chamber value when k0 is off the wall set
     of beta2; the toward-zero chamber value when k0 sits on a wall.
     """
-    if cache is None:
-        cache = TableCache()
-    cache.bind(model)
+    cache = _bound_cache(cache, model)
     k0 = Fraction(k0)
     if beta2.is_zero():
         return Fraction(1) if n2 == 0 else Fraction(0)
@@ -249,9 +257,7 @@ def invariant_value(
     cache: Optional[TableCache] = None,
 ) -> Fraction:
     """Chamber value of L(beta, n) at k; the side matters only on a wall."""
-    if cache is None:
-        cache = TableCache()
-    cache.bind(model)
+    cache = _bound_cache(cache, model)
     if beta.is_zero():
         return Fraction(1) if n == 0 else Fraction(0)
     return _chamber_value(model, beta, n, Fraction(k), from_right, cache)
@@ -266,9 +272,7 @@ def cross_wall(
     cache: Optional[TableCache] = None,
 ) -> Tuple[Fraction, WallReport]:
     """Apply the jump law at k0 to the left-chamber value; returns (L_plus, report)."""
-    if cache is None:
-        cache = TableCache()
-    cache.bind(model)
+    cache = _bound_cache(cache, model)
     report = _wall_total(model, beta, n, Fraction(k0), cache)
     return Fraction(l_minus) - report.total, report
 
@@ -328,9 +332,7 @@ def chamber_table(
     leftmost chamber, and a seed entry for (n, beta).  Sub-tables reached by
     the recursion are memoized in the cache.
     """
-    if cache is None:
-        cache = TableCache()
-    cache.bind(model)
+    cache = _bound_cache(cache, model)
     k_lo, k_hi = Fraction(k_lo), Fraction(k_hi)
     model.check_rank(beta)
     if beta.is_zero() or not beta.is_effective():
@@ -394,9 +396,7 @@ def pt_symmetry_check(
     n_max: int,
     cache: Optional[TableCache] = None,
 ) -> PTSymmetryReport:
-    if cache is None:
-        cache = TableCache()
-    cache.bind(model)
+    cache = _bound_cache(cache, model)
     rows = []
     coeffs: Dict[int, Fraction] = {}
     for n in range(1, n_max + 1):

@@ -73,19 +73,15 @@ def parse_class(text: str, line: int | None = None) -> CurveClass:
     return CurveClass(coeffs)
 
 
-def format_class(gamma: CurveClass) -> str:
-    return "(" + ",".join(str(c) for c in gamma.coeffs) + ")"
-
-
 def _duplicate(section: Optional[str], key, line: int, first: int) -> ModelParseError:
     if section is None:
         what = f"top-level key {key!r}"
     elif section == "basis":
         what = f"basis name {key!r}"
     elif section == "m_table":
-        what = f"m_table class {format_class(key)}"
+        what = f"m_table class {key}"
     else:
-        what = f"{section} entry {key[0]} {format_class(key[1])}"
+        what = f"{section} entry {key[0]} {key[1]}"
     return ModelParseError(f"duplicate {what} (first given on line {first})", line)
 
 
@@ -174,12 +170,12 @@ def serialize_model(model: NumericalThreefold) -> str:
         lines.append(f"{nm} = {format_rational(d)}")
     lines += ["", "[m_table]"]
     for gamma in sorted(model.m_table, key=lambda g: g.coeffs):
-        lines.append(f"{format_class(gamma)} = {format_rational(model.m_table[gamma])}")
+        lines.append(f"{gamma} = {format_rational(model.m_table[gamma])}")
     for section, table in (("n_table", model.n_table), ("p_seed", model.p_seed)):
         lines += ["", f"[{section}]"]
         for n, gamma in sorted(table, key=lambda e: (e[1].coeffs, e[0])):
             lines.append(
-                f"{n} {format_class(gamma)} = {format_rational(table[(n, gamma)])}"
+                f"{n} {gamma} = {format_rational(table[(n, gamma)])}"
             )
     return "\n".join(lines) + "\n"
 

@@ -55,10 +55,6 @@ def mul(p: Poly, q: Poly) -> Poly:
     return poly(out)
 
 
-def scale(p: Poly, s) -> Poly:
-    return poly(f * Fraction(s) for f in p)
-
-
 def evaluate(p: Poly, x) -> Fraction:
     """Exact Horner evaluation at a rational point."""
     x = Fraction(x)

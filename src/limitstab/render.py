@@ -1,6 +1,6 @@
-"""Chamber-diagram rendering: plain text and static SVG.
+"""Chamber-diagram rendering: plain text and static SVG, and crossing-report rows.
 
-Both renderers are pure functions of a ChamberTable.  The SVG uses a fixed
+The diagram renderers are pure functions of a ChamberTable.  The SVG uses a fixed
 1000x200 viewport: one horizontal axis, a vertical line per wall labeled
 with the exact rational, and the constant value per chamber.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
-from .crossing import ChamberTable
+from .crossing import ChamberTable, WallReport
 from .modelio import format_rational
 
 
@@ -30,6 +30,24 @@ def render_text(table: ChamberTable) -> str:
         "walls with a jump: " + (" ".join(format_rational(w) for w in eff) if eff else "none")
     )
     return "\n".join(lines) + "\n"
+
+
+def render_report(report: WallReport) -> str:
+    """One TSV row per datum: datum, coeff=, N= (or missing), L0=, contribution=."""
+    lines = []
+    for t in report.terms:
+        if t.missing_n:
+            n_txt = "missing"
+        elif t.n_value is None:
+            n_txt = "-"
+        else:
+            n_txt = format_rational(t.n_value)
+        l_txt = "-" if t.l_value is None else format_rational(t.l_value)
+        lines.append(
+            f"datum\t{t.datum}\tcoeff={t.coefficient}\tN={n_txt}\tL0={l_txt}"
+            f"\tcontribution={format_rational(t.contribution)}\n"
+        )
+    return "".join(lines)
 
 
 def _x(k: Fraction, lo: Fraction, hi: Fraction) -> float:

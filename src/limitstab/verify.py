@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
 from .crossing import TableCache, chamber_table, enumerate_wall_data, pt_symmetry_check
 from .geometry import CurveClass
 from .presets import conifold_double, conifold_pair, conifold_single
+
+F = Fraction
 
 
 @dataclass(frozen=True)
@@ -23,98 +25,87 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_table(results, model, beta, n, lo, hi, expected_values, expected_walls):
-    table = chamber_table(model, beta, n, lo, hi)
-    got_values = tuple(v for _, _, v in table.merged())
-    got_walls = table.effective_walls()
-    ok = got_values == expected_values and got_walls == expected_walls
-    results.append(
-        CheckResult(
-            f"{model.name}: table beta={beta} n={n}",
-            ok,
-            f"values {tuple(map(str, got_values))} walls {tuple(map(str, got_walls))}",
-        )
+def _datum_at_quarter(model, table) -> bool:
+    quarter = [r for r in table.reports if r.k0 == F(-1, 4)]
+    if len(quarter) != 1 or len(quarter[0].terms) != 1:
+        return False
+    term = quarter[0].terms[0]
+    d = term.datum
+    return (d.beta1, d.n1, d.beta2, d.n2, term.contribution) == (
+        CurveClass((0, 1)), 1, CurveClass((1, 0)), 1, 1
     )
-    return table
+
+
+def _no_data_at_three_halves(model, table) -> bool:
+    return enumerate_wall_data(model, table.beta, table.n, F(-3, 2)) == []
+
+
+def _contributions_at_minus_one(model, table) -> bool:
+    at_minus_1 = [r for r in table.reports if r.k0 == F(-1)][0]
+    by_datum = {(t.datum.beta1, t.datum.n1): t.contribution for t in at_minus_1.terms}
+    return by_datum.get((table.beta, 4)) == 1 and by_datum.get((CurveClass((1,)), 2)) == 0
+
+
+def reference_tables():
+    """The published tables, one ``(model, beta, n_max, rows)`` per preset class.
+
+    A row is ``(n, k_lo, k_hi, merged values, jump walls, extra)``: the table
+    L(beta, n) on [k_lo, k_hi], and ``extra`` either None or a
+    ``(label, predicate(model, table))`` check of that table.  A set
+    ``n_max`` adds the dual-count check for 1 <= n <= n_max after the rows.
+    """
+    single_rows = [
+        (n, F(-n, 2) - 1, F(1, 4) if n == 1 else F(0), (F((-1) ** (n - 1) * n), F(0)),
+         (F(-n, 2),), None)
+        for n in range(1, 5)
+    ]
+    return (
+        (conifold_single(1), CurveClass((1,)), 4, single_rows),
+        (conifold_pair(3, 2), CurveClass((1, 1)), None, [
+            (1, F(-1, 2), F(0), (F(1), F(0)), (F(-1, 10),), None),
+            (2, F(-1, 2), F(0), (F(-1), F(-2), F(0)), (F(-1, 4), F(-1, 5)),
+             ("crossing datum at -1/4", _datum_at_quarter)),
+        ]),
+        (conifold_double(1), CurveClass((2,)), None, [
+            (3, F(-2), F(0), (F(-2), F(0)), (F(-1),),
+             ("no admissible data at -3/2 for n=3", _no_data_at_three_halves)),
+            (4, F(-2), F(0), (F(4), F(1), F(0)), (F(-3, 2), F(-1)),
+             ("contributions at the -1 crossing", _contributions_at_minus_one)),
+        ]),
+    )
 
 
 def run_verification() -> List[CheckResult]:
     results: List[CheckResult] = []
-    F = Fraction
+    tables = reference_tables()
+    for model, beta, n_max, rows in tables:
+        for n, lo, hi, values, walls, extra in rows:
+            table = chamber_table(model, beta, n, lo, hi)
+            got_values = tuple(v for _, _, v in table.merged())
+            got_walls = table.effective_walls()
+            results.append(
+                CheckResult(
+                    f"{model.name}: table beta={beta} n={n}",
+                    got_values == values and got_walls == walls,
+                    f"values {tuple(map(str, got_values))} walls {tuple(map(str, got_walls))}",
+                )
+            )
+            if extra:
+                label, holds = extra
+                results.append(CheckResult(f"{model.name}: {label}", holds(model, table)))
+        if n_max:
+            report = pt_symmetry_check(model, beta, n_max)
+            ok = all(r.p_minus_derived == 0 and r.relation_defect == 0 for r in report.rows)
+            results.append(
+                CheckResult(f"{model.name}: dual counts vanish with zero defect", ok)
+            )
 
-    single = conifold_single(1)
-    c = CurveClass((1,))
-    for n in range(1, 5):
-        _check_table(
-            results,
-            single,
-            c,
-            n,
-            F(-n, 2) - 1,
-            0 if n > 1 else F(1, 4),
-            (F((-1) ** (n - 1) * n), F(0)),
-            (F(-n, 2),),
-        )
-    report = pt_symmetry_check(single, c, 4)
-    ok = all(r.p_minus_derived == 0 and r.relation_defect == 0 for r in report.rows)
-    results.append(
-        CheckResult(f"{single.name}: dual counts vanish with zero defect", ok)
-    )
-
-    pair = conifold_pair(3, 2)
-    beta = CurveClass((1, 1))
-    _check_table(results, pair, beta, 1, F(-1, 2), F(0), (F(1), F(0)), (F(-1, 10),))
-    t2 = _check_table(
-        results,
-        pair,
-        beta,
-        2,
-        F(-1, 2),
-        F(0),
-        (F(-1), F(-2), F(0)),
-        (F(-1, 4), F(-1, 5)),
-    )
-    quarter = [r for r in t2.reports if r.k0 == F(-1, 4)]
-    ok = (
-        len(quarter) == 1
-        and len(quarter[0].terms) == 1
-        and quarter[0].terms[0].datum.beta1 == CurveClass((0, 1))
-        and quarter[0].terms[0].datum.n1 == 1
-        and quarter[0].terms[0].datum.beta2 == CurveClass((1, 0))
-        and quarter[0].terms[0].datum.n2 == 1
-        and quarter[0].terms[0].contribution == 1
-    )
-    results.append(CheckResult(f"{pair.name}: crossing datum at -1/4", ok))
-
-    double = conifold_double(1)
-    cc = CurveClass((2,))
-    _check_table(results, double, cc, 3, F(-2), F(0), (F(-2), F(0)), (F(-1),))
-    ok = enumerate_wall_data(double, cc, 3, F(-3, 2)) == []
-    results.append(
-        CheckResult(f"{double.name}: no admissible data at -3/2 for n=3", ok)
-    )
-    t4 = _check_table(
-        results, double, cc, 4, F(-2), F(0), (F(4), F(1), F(0)), (F(-3, 2), F(-1))
-    )
-    at_minus_1 = [r for r in t4.reports if r.k0 == F(-1)][0]
-    by_datum = {
-        (t.datum.beta1, t.datum.n1): t.contribution for t in at_minus_1.terms
-    }
-    ok = by_datum.get((cc, 4)) == 1 and by_datum.get((CurveClass((1,)), 2)) == 0
-    results.append(
-        CheckResult(f"{double.name}: contributions at the -1 crossing", ok)
-    )
-
-    for model, beta_, pairs in (
-        (single, c, [(n, F(-n, 2) - 1, F(1, 4) if n == 1 else F(0)) for n in range(1, 5)]),
-        (pair, beta, [(1, F(-1, 2), F(0)), (2, F(-1, 2), F(0))]),
-        (double, cc, [(3, F(-2), F(0)), (4, F(-2), F(0))]),
-    ):
+    for model, beta, _, rows in tables:
         cache = TableCache()
         ok = True
-        for n, lo, hi in pairs:
-            plus = chamber_table(model, beta_, n, lo, hi, cache)
-            minus = chamber_table(model, beta_, -n, -hi, -lo, cache)
+        for n, lo, hi, *_ in rows:
+            plus = chamber_table(model, beta, n, lo, hi, cache)
+            minus = chamber_table(model, beta, -n, -hi, -lo, cache)
             for chamber, value in plus.entries:
                 span = chamber.hi - chamber.lo
                 for t in (F(1, 4), F(1, 2), F(3, 4)):

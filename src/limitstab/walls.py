@@ -60,11 +60,6 @@ class Chamber:
     def contains(self, k: Fraction) -> bool:
         return (self.lo is None or k > self.lo) and (self.hi is None or k < self.hi)
 
-    def midpoint(self) -> Fraction:
-        if self.lo is None or self.hi is None:
-            raise ValueError("unbounded chamber has no midpoint")
-        return (self.lo + self.hi) / 2
-
     def __str__(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "+inf" if self.hi is None else str(self.hi)

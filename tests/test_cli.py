@@ -1,9 +1,14 @@
+import importlib.util
 import io
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
+from limitstab import verify
 from limitstab.cli import _parser, main
 from limitstab.modelio import save_model
 from limitstab.presets import conifold_double
@@ -94,6 +99,61 @@ def test_verify_exits_zero():
     code, text = run_cli("verify")
     assert code == 0
     assert text.strip().splitlines()[-1].startswith("passed")
+
+
+def test_verify_reports_each_failed_check(monkeypatch):
+    single, pair, (model, beta, n_max, rows) = verify.reference_tables()
+    (n3, *row3, (label, _)), (n4, lo, hi, values, walls, extra) = rows
+    rows = [
+        (n3, *row3, (label, lambda model, table: False)),
+        (n4, lo, hi, (Fraction(5),) + values[1:], walls, extra),
+    ]
+    monkeypatch.setattr(
+        verify, "reference_tables", lambda: (single, pair, (model, beta, n_max, rows))
+    )
+    code, text = run_cli("verify")
+    assert code == 1
+    lines = text.splitlines()
+    assert [l for l in lines if l.startswith("FAIL\t")] == [
+        "FAIL\tconifold_double(d=1): no admissible data at -3/2 for n=3\t",
+        "FAIL\tconifold_double(d=1): table beta=(2) n=4\t"
+        "values ('4', '1', '0') walls ('-3/2', '-1')",
+    ]
+    assert sum(l.startswith("ok\t") for l in lines) == 13
+    assert lines[-1] == "FAILED\t13/15"
+
+
+def test_reproduce_script_prints_the_reference_tables(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    n_rows = sum(len(rows) for *_, rows in verify.reference_tables())
+    assert sum(l.startswith("L(beta=") for l in lines) == n_rows
+    assert "-2 --[4]-- -3/2 --[1]-- -1 --[0]-- 0" in lines
+    assert "  truncated series: (1)q^1 + (-2)q^2 + (3)q^3 + (-4)q^4" in lines
+    after_wall = text.split("L(beta=(2), n=4)")[1].split("  crossing at k = -1 ")[1]
+    rows = list(takewhile(lambda l: l.startswith("datum\t"), after_wall.splitlines()[1:]))
+    _, cross = run_cli(
+        "cross", "--preset", "conifold_double:1", "--beta", "2", "--n", "4",
+        "--k", "-1",
+    )
+    assert rows == [l for l in cross.splitlines() if l.startswith("datum\t")]
+    assert len(rows) == 2
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import limitstab, sys; "
+         "print(sorted({'limitstab.cli', 'limitstab.verify', 'argparse'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_render_text_and_svg():

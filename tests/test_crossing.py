@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitstab import crossing
 from limitstab.charge import ch_of_sheaf
 from limitstab.comparator import destabilizing_threshold
 from limitstab.crossing import (
@@ -143,11 +144,28 @@ def test_recursion_strictly_shrinks_the_remainder_class():
             assert degree(double, datum.beta2) < degree(double, C2_)
 
 
-def test_cache_refuses_a_second_model():
-    cache = TableCache()
-    chamber_table(conifold_single(1), C1_, 1, -1, 0, cache)
-    with pytest.raises(ValueError, match="shared between models"):
-        chamber_table(conifold_single(2), C1_, 1, -1, 0, cache)
+_CACHE_TAKING_CALLS = {
+    "chamber_table": lambda m, cache: chamber_table(m, C1_, 2, -2, 0, cache).entries,
+    "cross_wall": lambda m, cache: cross_wall(m, C1_, 2, -1, F(-2), cache),
+    "l_at_wall": lambda m, cache: l_at_wall(m, C1_, 2, F(-1, 2), cache),
+    "invariant_value": lambda m, cache: invariant_value(m, C1_, 2, -1, True, cache),
+    "pt_symmetry_check": lambda m, cache: pt_symmetry_check(m, C1_, 3, cache),
+}
+
+
+def test_cache_refuses_a_second_model(monkeypatch):
+    single = conifold_single(1)
+    made = []
+    for name, call in _CACHE_TAKING_CALLS.items():
+        cache = TableCache()
+        pt_symmetry_check(single, C1_, 4, cache)
+        # cache=None builds whatever class the module name TableCache holds now
+        monkeypatch.setattr(crossing, "TableCache", lambda: made.append(name) or TableCache())
+        assert call(single, cache) == call(single, None), name
+        assert made[-1] == name
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="shared between models"):
+            call(conifold_single(2), cache)
 
 
 def test_mirror_tables_stay_exact_fractions():
