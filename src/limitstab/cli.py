@@ -1,19 +1,10 @@
 """Command-line interface: batch queries against a model or preset.
 
-Subcommands
------------
-walls    walls inside a k-interval, one per line:  wall<TAB>p/q
-mu       slope threshold and chamber bounds for (beta, n)
-compare  asymptotic phase order of two classes, with both decision routes
-cross    crossing report at one wall: every datum and its contribution
-table    chamber table, merged runs:  k_lo<TAB>k_hi<TAB>L
-series   dual-count relation report and truncated series coefficients
-verify   recompute the bundled reference tables; exit 1 on any mismatch
-render   chamber diagram as text or SVG
-
-The model comes from --preset name[:args] or --model path (default taken
-from the LIMITSTAB_MODEL environment variable).  Rationals print as p/q in
-lowest terms, never as decimals.  Output ordering is deterministic: walls
+The subcommands are declared in ``_COMMANDS`` and their options, each once,
+in ``_OPTIONS``; ``limitstab <command> --help`` describes them.  The model
+comes from --preset name[:args] or --model path (default taken from the
+LIMITSTAB_MODEL environment variable).  Rationals print as p/q in lowest
+terms, never as decimals.  Output ordering is deterministic: walls
 ascend, crossing data sort by (deg beta1, n1).
 """
 
@@ -37,7 +28,6 @@ from .crossing import (
     pt_symmetry_check,
 )
 from .errors import LimitStabError
-from .geometry import CurveClass
 from .modelio import format_rational, load_model, parse_class, parse_rational
 from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
@@ -50,11 +40,18 @@ class UsageError(Exception):
     pass
 
 
-def _parse_rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except LimitStabError as exc:
-        raise UsageError(str(exc)) from None
+def _usage(parse):
+    """``parse`` with the errors it raises reported as usage errors."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except LimitStabError as exc:
+            raise UsageError(str(exc)) from None
+    return convert
+
+
+_parse_rational_arg = _usage(parse_rational)
+_parse_beta = _usage(parse_class)
 
 
 def _parse_range(text: str) -> Tuple[Fraction, Fraction]:
@@ -62,13 +59,6 @@ def _parse_range(text: str) -> Tuple[Fraction, Fraction]:
         raise UsageError(f"range must be lo:hi, got {text!r}")
     lo, _, hi = text.partition(":")
     return _parse_rational_arg(lo), _parse_rational_arg(hi)
-
-
-def _parse_beta(text: str) -> CurveClass:
-    try:
-        return parse_class(text)
-    except LimitStabError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _parse_chern(text: str) -> ChernCharacter:
@@ -94,22 +84,18 @@ def _resolve_model(args):
 
     Without --preset and --model the path comes from $LIMITSTAB_MODEL.
     """
-    name, path = None, args.model
-    if args.preset:
+    if args.preset is not None:
         name, _, argtext = args.preset.partition(":")
-        name = name.strip()
         params = tuple(
             _parse_rational_arg(p) for p in argtext.split(",") if p.strip() != ""
         )
-    elif not path:
-        path = os.environ.get("LIMITSTAB_MODEL")
-    if name and path:
-        raise UsageError("--preset and --model are mutually exclusive")
-    if name:
+        if args.model:
+            raise UsageError("--preset and --model are mutually exclusive")
         try:
-            return build_preset(name, params)
+            return build_preset(name.strip(), params)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+    path = args.model or os.environ.get("LIMITSTAB_MODEL")
     if path:
         try:
             return load_model(path)
@@ -119,123 +105,25 @@ def _resolve_model(args):
     raise UsageError("no model: pass --preset or --model, or set LIMITSTAB_MODEL")
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--preset",
-        help="preset geometry, e.g. conifold_single:1, conifold_pair:3,2, "
-        f"conifold_double:1 (names: {', '.join(PRESET_NAMES)})",
-    )
-    p.add_argument("--model", help="path to a model file (default: $LIMITSTAB_MODEL)")
+# Each handler gets the model (None for verify), the arguments with every
+# option converted, and the output stream; it returns an exit code only when
+# that is not 0.
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="limitstab",
-        description="exact wall-and-chamber engine for limit-stability counting",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "walls",
-        help="walls inside a k-interval (TSV: wall<TAB>p/q)",
-        description="Walls of the class inside [lo, hi]. One TSV row per wall: "
-        "wall<TAB>p/q, ascending.",
-    )
-    _add_model_args(p)
-    p.add_argument("--beta", required=True, help="curve class, e.g. 2 or 1,1")
-    p.add_argument("--range", required=True, help="k interval lo:hi, e.g. -2:0")
-
-    p = sub.add_parser(
-        "mu",
-        help="slope threshold and chamber bounds (TSV)",
-        description="TSV rows mu, k_pt, k_dual: the slope threshold of (beta, n), "
-        "the bound below which the table equals the pair seed, and the bound "
-        "above which it equals the dual seed.",
-    )
-    _add_model_args(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", required=True, type=int)
-
-    p = sub.add_parser("compare", help="asymptotic phase order of two classes")
-    _add_model_args(p)
-    p.add_argument("--f", required=True, help="subobject class 'r,c,(g..),n'")
-    p.add_argument("--e", required=True, help="ambient class 'r,c,(g..),n'")
-    p.add_argument("--k", required=True, help="twist parameter, rational")
-
-    p = sub.add_parser(
-        "cross",
-        help="crossing report at one wall",
-        description="Rows: wall<TAB>k0; one datum row per admissible splitting "
-        "with its coefficient, count N (or missing), recursive factor L0 and "
-        "contribution; then total, L_minus, L_plus.",
-    )
-    _add_model_args(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--k", required=True, help="wall position k0")
-
-    p = sub.add_parser(
-        "table",
-        help="chamber table (TSV: k_lo<TAB>k_hi<TAB>L)",
-        description="Merged chamber table of L(beta, n) on [lo, hi]. One TSV row "
-        "per constant run: k_lo<TAB>k_hi<TAB>L, ascending.",
-    )
-    _add_model_args(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--range", required=True, help="k interval lo:hi")
-
-    p = sub.add_parser(
-        "series",
-        help="dual-count relation and series coefficients",
-        description="Header n<TAB>P<TAB>P_dual<TAB>defect, one row per n; then "
-        "coefficient<TAB>n<TAB>p/q rows of the truncated series.",
-    )
-    _add_model_args(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n-max", required=True, type=int)
-
-    p = sub.add_parser("verify", help="recompute the bundled reference tables")
-
-    p = sub.add_parser("render", help="chamber diagram (text or SVG)")
-    _add_model_args(p)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--range", required=True)
-    p.add_argument("--format", choices=("text", "svg"), default="text")
-    return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
-def _cmd_walls(args, out) -> int:
-    model = _resolve_model(args)
-    lo, hi = _parse_range(args.range)
-    ws = wall_set(model, _parse_beta(args.beta), lo, hi)
-    for w in ws.walls:
+def _cmd_walls(model, args, out):
+    for w in wall_set(model, args.beta, *args.range).walls:
         out.write(f"wall\t{format_rational(w)}\n")
-    return 0
 
 
-def _cmd_mu(args, out) -> int:
-    model = _resolve_model(args)
-    beta = _parse_beta(args.beta)
-    mu = mu_threshold(model, beta, args.n)
-    k_pt, k_dual = pt_bounds(model, beta, args.n)
+def _cmd_mu(model, args, out):
+    mu = mu_threshold(model, args.beta, args.n)
+    k_pt, k_dual = pt_bounds(model, args.beta, args.n)
     out.write(f"mu\t{format_rational(mu)}\n")
     out.write(f"k_pt\t{format_rational(k_pt)}\n")
     out.write(f"k_dual\t{format_rational(k_dual)}\n")
-    return 0
 
 
-def _cmd_compare(args, out) -> int:
-    model = _resolve_model(args)
-    ch_f, ch_e = _parse_chern(args.f), _parse_chern(args.e)
-    k = _parse_rational_arg(args.k)
+def _cmd_compare(model, args, out):
+    ch_f, ch_e, k = args.f, args.e, args.k
     for label, ch in (("F", ch_f), ("E", ch_e)):
         if shape(ch) is None:
             raise UsageError(f"{label} class {ch} is zero or out of scope")
@@ -256,42 +144,28 @@ def _cmd_compare(args, out) -> int:
             out.write(f"tie_rhs\t{format_rational(te.v3)}\n")
         else:
             out.write("slope_lhs\tpoint\n")
-    return 0
 
 
-def _cmd_cross(args, out) -> int:
-    model = _resolve_model(args)
-    beta = _parse_beta(args.beta)
-    k0 = _parse_rational_arg(args.k)
+def _cmd_cross(model, args, out):
     cache = TableCache()
-    l_minus = invariant_value(model, beta, args.n, k0, from_right=False, cache=cache)
-    l_plus, report = cross_wall(model, beta, args.n, k0, l_minus, cache)
+    l_minus = invariant_value(model, args.beta, args.n, args.k, from_right=False, cache=cache)
+    l_plus, report = cross_wall(model, args.beta, args.n, args.k, l_minus, cache)
     out.write(f"wall\t{format_rational(report.k0)}\n")
     out.write(render_report(report))
     out.write(f"total\t{format_rational(report.total)}\n")
     out.write(f"L_minus\t{format_rational(l_minus)}\n")
     out.write(f"L_plus\t{format_rational(l_plus)}\n")
-    return 0
 
 
-def _make_table(args):
-    model = _resolve_model(args)
-    lo, hi = _parse_range(args.range)
-    return chamber_table(model, _parse_beta(args.beta), args.n, lo, hi)
-
-
-def _cmd_table(args, out) -> int:
-    table = _make_table(args)
-    for lo, hi, value in table.merged():
+def _cmd_table(model, args, out):
+    for lo, hi, value in chamber_table(model, args.beta, args.n, *args.range).merged():
         out.write(
             f"{format_rational(lo)}\t{format_rational(hi)}\t{format_rational(value)}\n"
         )
-    return 0
 
 
-def _cmd_series(args, out) -> int:
-    model = _resolve_model(args)
-    report = pt_symmetry_check(model, _parse_beta(args.beta), args.n_max)
+def _cmd_series(model, args, out):
+    report = pt_symmetry_check(model, args.beta, args.n_max)
     out.write("n\tP\tP_dual\tdefect\n")
     for row in report.rows:
         out.write(
@@ -301,10 +175,9 @@ def _cmd_series(args, out) -> int:
         )
     for n, coeff in report.laurent:
         out.write(f"coefficient\t{n}\t{format_rational(coeff)}\n")
-    return 0
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(model, args, out):
     results = run_verification()
     failed = 0
     for r in results:
@@ -317,28 +190,101 @@ def _cmd_verify(args, out) -> int:
     return 1 if failed else 0
 
 
-def _cmd_render(args, out) -> int:
-    table = _make_table(args)
+def _cmd_render(model, args, out):
+    table = chamber_table(model, args.beta, args.n, *args.range)
     out.write(render_svg(table) if args.format == "svg" else render_text(table))
-    return 0
 
 
+# Every option, declared once: its add_argument keywords and the converter
+# that main applies to its string (argparse converts --n and --n-max).  main
+# converts in this order, after resolving the model, so the order decides
+# which of two bad arguments is reported.
+_OPTIONS = {
+    "--preset": (dict(
+        help="preset geometry, e.g. conifold_single:1, conifold_pair:3,2, "
+        f"conifold_double:1 (names: {', '.join(PRESET_NAMES)})",
+    ), None),
+    "--model": (dict(help="path to a model file (default: $LIMITSTAB_MODEL)"), None),
+    "--range": (dict(required=True, help="k interval lo:hi, e.g. -2:0"), _parse_range),
+    "--beta": (dict(required=True, help="curve class, e.g. 2 or 1,1"), _parse_beta),
+    "--f": (dict(required=True, help="subobject class 'r,c,(g..),n'"), _parse_chern),
+    "--e": (dict(required=True, help="ambient class 'r,c,(g..),n'"), _parse_chern),
+    "--k": (dict(
+        required=True, help="rational twist parameter (compare) or wall position k0 (cross)",
+    ), _parse_rational_arg),
+    "--n": (dict(required=True, type=int), None),
+    "--n-max": (dict(required=True, type=int), None),
+    "--format": (dict(choices=("text", "svg"), default="text"), None),
+}
+
+# every option takes a value; a flag added to _OPTIONS must be left out here
+_VALUE_OPTIONS = frozenset(_OPTIONS)
+
+_MODEL_OPTIONS = ("--preset", "--model")
+
+# command: (handler, options in usage order, help, description); a command
+# that takes --model reads a model
 _COMMANDS = {
-    "walls": _cmd_walls,
-    "mu": _cmd_mu,
-    "compare": _cmd_compare,
-    "cross": _cmd_cross,
-    "table": _cmd_table,
-    "series": _cmd_series,
-    "verify": _cmd_verify,
-    "render": _cmd_render,
+    "walls": (
+        _cmd_walls, _MODEL_OPTIONS + ("--beta", "--range"),
+        "walls inside a k-interval (TSV: wall<TAB>p/q)",
+        "Walls of the class inside [lo, hi]. One TSV row per wall: wall<TAB>p/q, ascending.",
+    ),
+    "mu": (
+        _cmd_mu, _MODEL_OPTIONS + ("--beta", "--n"),
+        "slope threshold and chamber bounds (TSV)",
+        "TSV rows mu, k_pt, k_dual: the slope threshold of (beta, n), the bound below "
+        "which the table equals the pair seed, and the bound above which it equals the "
+        "dual seed.",
+    ),
+    "compare": (
+        _cmd_compare, _MODEL_OPTIONS + ("--f", "--e", "--k"),
+        "asymptotic phase order of two classes", None,
+    ),
+    "cross": (
+        _cmd_cross, _MODEL_OPTIONS + ("--beta", "--n", "--k"),
+        "crossing report at one wall",
+        "Rows: wall<TAB>k0; one datum row per admissible splitting with its coefficient, "
+        "count N (or missing), recursive factor L0 and contribution; then total, L_minus, "
+        "L_plus.",
+    ),
+    "table": (
+        _cmd_table, _MODEL_OPTIONS + ("--beta", "--n", "--range"),
+        "chamber table (TSV: k_lo<TAB>k_hi<TAB>L)",
+        "Merged chamber table of L(beta, n) on [lo, hi]. One TSV row per constant run: "
+        "k_lo<TAB>k_hi<TAB>L, ascending.",
+    ),
+    "series": (
+        _cmd_series, _MODEL_OPTIONS + ("--beta", "--n-max"),
+        "dual-count relation and series coefficients",
+        "Header n<TAB>P<TAB>P_dual<TAB>defect, one row per n; then coefficient<TAB>n<TAB>p/q "
+        "rows of the truncated series.",
+    ),
+    "verify": (_cmd_verify, (), "recompute the bundled reference tables", None),
+    "render": (
+        _cmd_render, _MODEL_OPTIONS + ("--beta", "--n", "--range", "--format"),
+        "chamber diagram (text or SVG)", None,
+    ),
 }
 
 
-_VALUE_OPTIONS = {
-    "--preset", "--model", "--beta", "--range", "--k", "--f", "--e",
-    "--n", "--n-max", "--format",
-}
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="limitstab",
+        description="exact wall-and-chamber engine for limit-stability counting",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, options, help_text, description) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=description)
+        for opt in options:
+            p.add_argument(opt, **_OPTIONS[opt][0])
+    return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _merge_option_values(argv: List[str]) -> List[str]:
@@ -360,8 +306,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = _parser().parse_args(_merge_option_values(
         list(sys.argv[1:] if argv is None else argv)
     ))
+    handler, options, *_ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args, out)
+        model = _resolve_model(args) if "--model" in options else None
+        for opt, (_, convert) in _OPTIONS.items():
+            if convert and opt in options:
+                dest = opt[2:].replace("-", "_")
+                setattr(args, dest, convert(getattr(args, dest)))
+        return handler(model, args, out) or 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

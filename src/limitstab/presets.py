@@ -25,12 +25,11 @@ because no bundled computation consumes it.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .geometry import CurveClass, NumericalThreefold
-
-PRESET_NAMES = ("conifold_single", "conifold_pair", "conifold_double")
 
 
 def _seed_single_curve(index: int, rank: int, n_range) -> Dict:
@@ -130,12 +129,16 @@ def conifold_double(d=1) -> NumericalThreefold:
     )
 
 
+_PRESETS = {make.__name__: make for make in (conifold_single, conifold_pair, conifold_double)}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def build_preset(name: str, args: Tuple[Fraction, ...]) -> NumericalThreefold:
     """Instantiate a preset from its name and positional degree arguments."""
-    if name == "conifold_single":
-        return conifold_single(*args) if args else conifold_single()
-    if name == "conifold_pair":
-        return conifold_pair(*args) if args else conifold_pair()
-    if name == "conifold_double":
-        return conifold_double(*args) if args else conifold_double()
-    raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    make = _PRESETS.get(name)
+    if make is None:
+        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    params = tuple(inspect.signature(make).parameters)
+    if len(args) > len(params):
+        raise ValueError(f"too many arguments for {name}({', '.join(params)}): got {len(args)}")
+    return make(*args)

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import io
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from limitstab import verify
-from limitstab.cli import _parser, main
+from limitstab.cli import _merge_option_values, _parser, build_parser, main
 from limitstab.modelio import save_model
-from limitstab.presets import conifold_double
+from limitstab.presets import PRESET_NAMES, conifold_double
 
 
 def run_cli(*argv):
@@ -282,6 +283,52 @@ def test_reusing_the_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
     assert "no model" in in_sequence[6][2]
     # the file is read again on every call: new contents, new table
     assert in_sequence[4][1] != in_sequence[5][1]
+
+
+def test_too_many_preset_arguments_is_a_usage_error(capsys):
+    arity = {"conifold_single": ("d", "1"), "conifold_pair": ("d1, d2", "3,2"),
+             "conifold_double": ("d", "1")}
+    assert set(arity) == set(PRESET_NAMES)
+    for name, (params, args) in arity.items():
+        n = args.count(",") + 1
+        code, text = run_cli(
+            "walls", "--preset", f"{name}:{args},1", "--beta", "1", "--range", "-1:0"
+        )
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert err == f"usage error: too many arguments for {name}({params}): got {n + 1}\n"
+        assert "Traceback" not in err
+
+
+def test_empty_preset_name_selects_the_preset_path(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "double.model"
+    save_model(conifold_double(1), str(path))
+    monkeypatch.setenv("LIMITSTAB_MODEL", str(path))
+    walls = ("walls", "--beta", "2", "--range", "-1:0")
+    unknown = f"usage error: unknown preset ''; choose from {', '.join(PRESET_NAMES)}\n"
+    for preset in (":1", ""):
+        assert run_cli(*walls, "--preset", preset, "--model", str(path)) == (2, "")
+        assert capsys.readouterr().err == (
+            "usage error: --preset and --model are mutually exclusive\n"
+        )
+        assert run_cli(*walls, "--preset", preset) == (2, "")
+        assert capsys.readouterr().err == unknown
+
+
+def test_every_value_option_accepts_a_dash_leading_value():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = set()
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                merged = _merge_option_values([command, option, "-1:-1/2", "--x"])
+                if action.nargs == 0:  # a flag such as --help keeps its own token
+                    assert merged == [command, option, "-1:-1/2", "--x"], (command, option)
+                    continue
+                assert merged == [command, f"{option}=-1:-1/2", "--x"], (command, option)
+                checked.add(option)
+    assert {"--beta", "--range", "--k", "--n", "--format"} <= checked
 
 
 def test_model_error_exit_code(tmp_path):
