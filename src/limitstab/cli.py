@@ -5,7 +5,7 @@ in ``_OPTIONS``; ``limitstab <command> --help`` describes them.  The model
 comes from --preset name[:args] or --model path (default taken from the
 LIMITSTAB_MODEL environment variable).  Rationals print as p/q in lowest
 terms, never as decimals.  Output ordering is deterministic: walls
-ascend, crossing data sort by (deg beta1, n1).
+ascend, crossing data sort by (deg beta1, coordinates of beta1).
 """
 
 from __future__ import annotations

@@ -95,7 +95,15 @@ class WallReport:
 
 
 class TableCache:
-    """Memo store for wall contributions and chamber values.
+    """Memo store for the crossing recursion, filled lazily.
+
+    Four memo tables:
+
+    * ``values[(beta, n, k, from_right)]`` -- chamber values;
+    * ``reports[(beta, n, k0)]`` -- wall reports;
+    * ``splits[beta]`` -- ``(beta1, deg beta1, beta2)`` for every splitting,
+      in the order of ``decompositions(model, beta)``;
+    * ``m[beta2]`` -- ``min_ch3(model, beta2)``; a failing call is not stored.
 
     A cache binds to the first model it serves and refuses any other.
     Entries are deterministic functions of that model, so sharing a cache
@@ -106,6 +114,8 @@ class TableCache:
     def __init__(self):
         self.values: Dict[Tuple[CurveClass, int, Fraction, bool], Fraction] = {}
         self.reports: Dict[Tuple[CurveClass, int, Fraction], WallReport] = {}
+        self.splits: Dict[CurveClass, Tuple[Tuple[CurveClass, Fraction, CurveClass], ...]] = {}
+        self.m: Dict[CurveClass, Fraction] = {}
         self._model: Optional[NumericalThreefold] = None
 
     def bind(self, model: NumericalThreefold) -> None:
@@ -126,23 +136,38 @@ def _bound_cache(cache: Optional[TableCache], model: NumericalThreefold) -> Tabl
 
 
 def enumerate_wall_data(
-    model: NumericalThreefold, beta: CurveClass, n: int, k0
+    model: NumericalThreefold,
+    beta: CurveClass,
+    n: int,
+    k0,
+    cache: Optional[TableCache] = None,
 ) -> List[WallDatum]:
-    """All admissible data at k0, sorted by (deg beta1, n1).
+    """All admissible data at k0, sorted by (deg beta1, coordinates of beta1).
 
     Empty whenever the slope constraint has no integral solution or the
-    ch3 bounds exclude every candidate.
+    ch3 bounds exclude every candidate.  The splittings of beta and the
+    m(beta2) bounds come from the cache's memo tables.
     """
+    cache = _bound_cache(cache, model)
     k0 = Fraction(k0)
     mu = -2 * k0
+    splits = cache.splits.get(beta)
+    if splits is None:
+        splits = tuple(
+            (beta1, degree(model, beta1), beta2)
+            for beta1, beta2 in decompositions(model, beta)
+        )
+        cache.splits[beta] = splits
     out = []
-    for beta1, beta2 in decompositions(model, beta):
-        n1 = mu * degree(model, beta1)
+    for beta1, deg1, beta2 in splits:
+        n1 = mu * deg1
         if n1.denominator != 1:
             continue
         n1 = int(n1)
         n2 = n - n1
-        m2 = min_ch3(model, beta2)
+        m2 = cache.m.get(beta2)
+        if m2 is None:
+            m2 = cache.m[beta2] = min_ch3(model, beta2)
         if n2 >= m2 or (not beta2.is_zero() and n2 <= -m2):
             out.append(WallDatum(k0, beta1, n1, beta2, n2))
     return out
@@ -164,9 +189,13 @@ def l_at_wall(
     k0 = Fraction(k0)
     if beta2.is_zero():
         return Fraction(1) if n2 == 0 else Fraction(0)
-    from_right = True
-    if is_wall(model, beta2, k0) and k0 > 0:
-        from_right = False
+    # the wall test below runs only for k0 > 0, so check the class here with
+    # the messages the cone walk would give
+    model.check_rank(beta2)
+    if not beta2.is_effective():
+        raise ValueError(f"{beta2} is not effective")
+    # the side toward k = 0 is the left one only for a wall right of zero
+    from_right = not (k0 > 0 and is_wall(model, beta2, k0))
     return _chamber_value(model, beta2, n2, k0, from_right, cache)
 
 
@@ -224,7 +253,7 @@ def _wall_total(
         return cache.reports[key]
     terms = []
     total = Fraction(0)
-    for datum in enumerate_wall_data(model, beta, n, k0):
+    for datum in enumerate_wall_data(model, beta, n, k0, cache):
         coeff = datum.coefficient
         if coeff == 0:
             terms.append(

@@ -1,8 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from limitstab import crossing
 from limitstab.charge import ch_of_sheaf
@@ -19,9 +20,9 @@ from limitstab.crossing import (
     pt_symmetry_check,
 )
 from limitstab.errors import ModelDataError
-from limitstab.geometry import CurveClass, degree
+from limitstab.geometry import CurveClass, NumericalThreefold, decompositions, degree, min_ch3
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
-from limitstab.walls import pt_bounds
+from limitstab.walls import mu_threshold, pt_bounds
 
 F = Fraction
 C1_ = CurveClass((1,))
@@ -276,3 +277,149 @@ def test_hn_sort_is_idempotent_and_strictly_decreasing(parts, k_num, k_den):
     # concatenating two sorted outputs and re-sorting changes nothing
     resorted = hn_sort(single, flat + flat, k)
     assert [len(g) for g in resorted] == [2 * len(g) for g in groups]
+
+
+def test_l_at_wall_checks_the_class_on_either_side_of_zero():
+    # the wall test runs only right of zero; the class check must not depend on it
+    pair = conifold_pair(3, 2)
+    for k0 in (F(-1, 2), F(0), F(1, 2)):
+        with pytest.raises(ValueError, match=r"^class \(1\) has rank 1, model has rank 2$"):
+            l_at_wall(pair, CurveClass((1,)), 1, k0)
+        with pytest.raises(ValueError, match=r"^\(-1,1\) is not effective$"):
+            l_at_wall(pair, CurveClass((-1, 1)), 1, k0)
+        # the zero class short-circuits before any check, as it always has
+        assert l_at_wall(pair, CurveClass((0,)), 0, k0) == 1
+
+
+class _SeedEverywhere(dict):
+    """A p_seed table with a deterministic value for every (n, class)."""
+
+    def __missing__(self, key):
+        n, beta = key
+        return F((3 * n + 5 * sum(beta.coeffs)) % 7 - 3)
+
+
+def _reference_wall_data(model, beta, n, k0):
+    """The jump-law data at k0, straight from the cone enumeration."""
+    out = []
+    for beta1, beta2 in decompositions(model, beta):
+        n1 = -2 * k0 * degree(model, beta1)
+        if n1.denominator != 1:
+            continue
+        n2 = n - int(n1)
+        m2 = min_ch3(model, beta2)
+        if n2 >= m2 or (not beta2.is_zero() and n2 <= -m2):
+            out.append(WallDatum(k0, beta1, int(n1), beta2, n2))
+    return out
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except (ValueError, ModelDataError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+@st.composite
+def _split_cases(draw):
+    rank = draw(st.integers(1, 3))
+    degrees = [F(draw(st.integers(1, 3)), draw(st.integers(1, 2))) for _ in range(rank)]
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    assume(any(coeffs))
+    beta = CurveClass(coeffs)
+    bound = sum(c * d for c, d in zip(coeffs, degrees))
+    classes = [
+        CurveClass(g)
+        for g in itertools.product(*(range(int(bound / d) + 1) for d in degrees))
+        if any(g) and sum(c * d for c, d in zip(g, degrees)) <= bound
+    ]
+    m_values = st.integers(-2, 3).map(F)
+    n_values = st.sampled_from([F(0), F(1), F(-2), F(1, 2)])
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(6),
+        m_table={g: draw(m_values) for g in classes},
+        n_table={(n1, g): draw(n_values) for g in classes for n1 in range(-4, 5) if n1},
+        p_seed=_SeedEverywhere(),
+    )
+    n = draw(st.integers(-4, 4))
+    k0 = F(draw(st.integers(-8, 8)), 2 * draw(st.integers(1, 6)))
+    return model, beta, n, k0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_split_cases())
+def test_split_table_matches_the_cone_enumeration(case):
+    model, beta, n, k0 = case
+    reference = _reference_wall_data(model, beta, n, k0)
+    assert enumerate_wall_data(model, beta, n, k0, TableCache()) == reference
+    assert enumerate_wall_data(model, beta, n, k0) == reference
+    # a cache that other tables of the same model have already filled: the
+    # classes below beta and up to four others of its own degree
+    shared = TableCache()
+    below = [CurveClass(g) for g in itertools.product(*(range(c + 1) for c in beta.coeffs))]
+    level = [g for g in model.m_table if degree(model, g) == degree(model, beta)]
+    for other in below + level[:4]:
+        if not other.is_zero() and other != beta:
+            enumerate_wall_data(model, other, n + 1, k0, shared)
+    _outcome(lambda: chamber_table(model, beta, -n, F(-5), F(-4), shared))
+    enumerate_wall_data(model, beta, n - 1, k0 - F(1, 2), shared)
+    assert enumerate_wall_data(model, beta, n, k0, shared) == reference
+    # determinism under cache sharing: the same table, entries and reports included
+    k_pt = -mu_threshold(model, beta, n) / 2
+    table = lambda cache: chamber_table(model, beta, n, k_pt - F(1, 4), k_pt + F(1, 2), cache)
+    assert _outcome(lambda: table(shared)) == _outcome(lambda: table(None))
+
+
+def _sparse_m_model():
+    # degrees A = 1, B = 2; m_table holds only A, so m(B) cannot be computed
+    a, b, ab = CurveClass((1, 0)), CurveClass((0, 1)), CurveClass((1, 1))
+    return NumericalThreefold(
+        basis=(("A", F(1)), ("B", F(2))),
+        omega_cubed=F(6),
+        m_table={a: F(1)},
+        n_table={(1, b): F(1), (1, a): F(2)},
+        p_seed={(1, a): F(3), (2, ab): F(5)},
+    )
+
+
+def test_m_bounds_are_computed_only_where_a_split_needs_them():
+    model = _sparse_m_model()
+    a, b, ab = CurveClass((1, 0)), CurveClass((0, 1)), CurveClass((1, 1))
+    cache = TableCache()
+    # at k0 = -1/4 (slope 1/2) only beta1 = B has integral n1; the split
+    # beta1 = A, whose remainder B lacks m data, is skipped before m is read
+    l_plus, report = cross_wall(model, ab, 2, F(-1, 4), F(5), cache)
+    assert (l_plus, report.total) == (4, 1)
+    assert [(t.datum.beta1, t.datum.beta2) for t in report.terms] == [(b, a)]
+    assert b not in cache.m
+    # at k0 = -1/2 the split beta1 = A is integral and needs m(B)
+    for _ in range(2):
+        with pytest.raises(
+            ModelDataError,
+            match=r"^m_table has no entry for class \(0,1\) \(needed for m\(\(0,1\)\)\)$",
+        ):
+            cross_wall(model, ab, 2, F(-1, 2), F(5), cache)
+        assert b not in cache.m  # a failing call is not memoized
+
+
+def test_each_class_is_split_once_per_cache(monkeypatch):
+    double = conifold_double(1)
+    expected = chamber_table(double, C2_, 4, -2, 0)
+    split, bounded = [], []
+
+    def counted(calls, fn):
+        return lambda model, beta: calls.append(beta) or fn(model, beta)
+
+    monkeypatch.setattr(crossing, "decompositions", counted(split, decompositions))
+    monkeypatch.setattr(crossing, "min_ch3", counted(bounded, min_ch3))
+    cache = TableCache()
+    assert chamber_table(double, C2_, 4, -2, 0, cache) == expected
+    assert sorted(split) == sorted(set(split)) == sorted(cache.splits) == [C1_, C2_]
+    assert sorted(bounded) == sorted(set(bounded)) == sorted(cache.m)
+    remainders = {beta2 for splits in cache.splits.values() for _, _, beta2 in splits}
+    assert set(bounded) <= remainders
+    # a second table on the same cache splits and bounds nothing new
+    before = len(split), len(bounded)
+    chamber_table(double, C2_, 3, -2, 0, cache)
+    assert (len(split), len(bounded)) == before
