@@ -39,7 +39,7 @@ from .crossing import (
     l_at_wall,
     pt_symmetry_check,
 )
-from .errors import LimitStabError, ModelDataError, ModelParseError
+from .errors import LimitStabError, ModelDataError, ModelParseError, TableArgumentError
 from .geometry import (
     CurveClass,
     NumericalThreefold,
@@ -85,6 +85,7 @@ __all__ = [
     "LimitStabError",
     "ModelDataError",
     "ModelParseError",
+    "TableArgumentError",
     "CurveClass",
     "NumericalThreefold",
     "decompositions",

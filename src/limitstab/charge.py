@@ -62,8 +62,9 @@ class ChernCharacter:
         )
 
     def __str__(self) -> str:
+        """The 'r,c,(g1,...),n' form that ``limitstab compare`` reads."""
         gam = ",".join(str(g) for g in self.gamma)
-        return f"({self.r}, {self.c}, [{gam}], {self.n})"
+        return f"{self.r},{self.c},({gam}),{self.n}"
 
 
 class PointSlope:
@@ -151,20 +152,17 @@ def twisted_invariants(
 ) -> TwistedInvariants:
     """Expand exp(-k*omega) * ch * (1, 0, c2/24, 0) and keep the four scalars."""
     k = Fraction(k)
+    k2 = k * k
+    k3 = k2 * k
     w3 = model.omega_cubed
     c2w = model.c2_omega
     deg = model.degree_vector(ch.gamma)
-    v0 = ch.r
-    w1 = (ch.c - k * ch.r) * w3
-    w2 = deg - k * ch.c * w3 + Fraction(k * k, 2) * ch.r * w3 + ch.r * c2w / 24
-    v3 = (
-        ch.n
-        - k * deg
-        + Fraction(k * k, 2) * ch.c * w3
-        - Fraction(k**3, 6) * ch.r * w3
-        + (ch.c - k * ch.r) * c2w / 24
-    )
-    return TwistedInvariants(v0, w1, w2, v3)
+    r, c = ch.r, ch.c
+    c_twisted = c - k * r  # ch1 of the twisted class, in units of omega
+    w1 = c_twisted * w3
+    w2 = deg - k * c * w3 + k2 / 2 * r * w3 + r * c2w / 24
+    v3 = ch.n - k * deg + k2 / 2 * c * w3 - k3 / 6 * r * w3 + c_twisted * c2w / 24
+    return TwistedInvariants(r, w1, w2, v3)
 
 
 @dataclass(frozen=True)

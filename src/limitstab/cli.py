@@ -27,7 +27,7 @@ from .crossing import (
     invariant_value,
     pt_symmetry_check,
 )
-from .errors import LimitStabError
+from .errors import LimitStabError, TableArgumentError
 from .modelio import format_rational, load_model, parse_class, parse_rational
 from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
@@ -58,7 +58,10 @@ def _parse_range(text: str) -> Tuple[Fraction, Fraction]:
     if ":" not in text:
         raise UsageError(f"range must be lo:hi, got {text!r}")
     lo, _, hi = text.partition(":")
-    return _parse_rational_arg(lo), _parse_rational_arg(hi)
+    lo, hi = _parse_rational_arg(lo), _parse_rational_arg(hi)
+    if not lo < hi:
+        raise UsageError(f"empty interval [{lo}, {hi}]")
+    return lo, hi
 
 
 def _parse_chern(text: str) -> ChernCharacter:
@@ -198,7 +201,7 @@ def _cmd_render(model, args, out):
 # Every option, declared once: its add_argument keywords and the converter
 # that main applies to its string (argparse converts --n and --n-max).  main
 # converts in this order, after resolving the model, so the order decides
-# which of two bad arguments is reported.
+# which of two bad arguments is reported; then it checks the rank of --beta.
 _OPTIONS = {
     "--preset": (dict(
         help="preset geometry, e.g. conifold_single:1, conifold_pair:3,2, "
@@ -313,8 +316,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             if convert and opt in options:
                 dest = opt[2:].replace("-", "_")
                 setattr(args, dest, convert(getattr(args, dest)))
+        if "--beta" in options:
+            try:
+                model.check_rank(args.beta)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         return handler(model, args, out) or 0
-    except UsageError as exc:
+    except (UsageError, TableArgumentError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (LimitStabError, ValueError) as exc:

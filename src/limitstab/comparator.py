@@ -3,11 +3,16 @@
 Two independent routes decide whether the phase of F eventually sits below,
 at, or above the phase of E:
 
-* ``compare_phases`` works for any pair of in-scope classes.  It forms the
-  cross polynomial W(m) = re_F*im_E - im_F*re_E (degree <= 5) and reads the
-  sign of its leading coefficient.  Both phases lie in an open window of
-  width < 1 for large m, so sin(pi*(phi_E - phi_F)) has the sign of
-  phi_E - phi_F, and |Z_E||Z_F| sin(pi*(phi_E - phi_F)) = W(m).
+* ``compare_phases`` works for any pair of in-scope classes.  It reads the
+  sign at infinity of the cross polynomial W(m) = re_F*im_E - im_F*re_E.
+  Both phases lie in an open window of width < 1 for large m, so
+  sin(pi*(phi_E - phi_F)) has the sign of phi_E - phi_F, and
+  |Z_E||Z_F| sin(pi*(phi_E - phi_F)) = W(m).  With
+  Z = (-v3 + w1 m^2/2) + i(w2 m - omega^3 v0 m^3/6), W has only odd powers
+  of m and each coefficient is a 2x2 minor of the two classes' twisted
+  scalars, so the first nonzero of three minors decides, with no polynomial
+  product.  ``cross_polynomial`` still forms W itself, for ``limitstab
+  compare`` and as an independent pointwise check.
 * ``compare_phases_closed`` is the closed-form route for a sheaf- or
   point-type F against a pair-type E: an inequality between the twisted
   slope of F and -2k, with a tie-break on the linear charge data of E.
@@ -62,13 +67,26 @@ def cross_polynomial(
 def compare_phases(
     model: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k
 ) -> PhaseOrder:
-    """Asymptotic order of phases via the sign at infinity of W."""
+    """Asymptotic order of phases: the sign of the leading coefficient of W.
+
+    The coefficients of m^5, m^3 and m of W, the first with its positive
+    factor omega^3/12 dropped, are tried in that order.
+    """
     _require_in_scope(ch_f, "F")
     _require_in_scope(ch_e, "E")
-    sign = poly.sign_at_infinity(cross_polynomial(model, ch_f, ch_e, k))
-    if sign > 0:
+    f = twisted_invariants(model, ch_f, k)
+    e = twisted_invariants(model, ch_e, k)
+    lead = (
+        f.v0 * e.w1 - f.w1 * e.v0  # m^5
+        or (
+            model.omega_cubed / 6 * (f.v3 * e.v0 - f.v0 * e.v3)
+            + (f.w1 * e.w2 - f.w2 * e.w1) / 2
+        )  # m^3
+        or f.w2 * e.v3 - f.v3 * e.w2  # m^1
+    )
+    if lead > 0:
         return PhaseOrder.PRECEDES
-    if sign < 0:
+    if lead < 0:
         return PhaseOrder.SUCCEEDS
     return PhaseOrder.EQUAL
 

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
-from .errors import ModelDataError
+from .errors import ModelDataError, TableArgumentError
 from .geometry import (
     CurveClass,
     NumericalThreefold,
@@ -365,10 +365,10 @@ def chamber_table(
     k_lo, k_hi = Fraction(k_lo), Fraction(k_hi)
     model.check_rank(beta)
     if beta.is_zero() or not beta.is_effective():
-        raise ValueError("chamber tables need a nonzero effective class")
+        raise TableArgumentError("chamber tables need a nonzero effective class")
     k_pt = -mu_threshold(model, beta, n) / 2
     if not k_lo < k_pt:
-        raise ValueError(
+        raise TableArgumentError(
             f"interval must start below the seed bound k_pt = {k_pt}, got k_lo = {k_lo}"
         )
     value = _seed(model, beta, n)

@@ -13,6 +13,14 @@ class ModelDataError(LimitStabError):
     """
 
 
+class TableArgumentError(ValueError):
+    """A chamber table was asked for with a bad argument, not bad model data.
+
+    Raised for a zero or non-effective class and for an interval that does
+    not start below the seed bound k_pt.
+    """
+
+
 class ModelParseError(LimitStabError):
     """A model file failed to parse or validate; carries a line number."""
 

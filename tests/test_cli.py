@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,9 +11,18 @@ from pathlib import Path
 import pytest
 
 from limitstab import verify
-from limitstab.cli import _merge_option_values, _parser, build_parser, main
+from limitstab.charge import ChernCharacter
+from limitstab.cli import _merge_option_values, _parse_chern, _parser, build_parser, main
 from limitstab.modelio import save_model
 from limitstab.presets import PRESET_NAMES, conifold_double
+
+
+def _child_python(*args):
+    """Run a child interpreter that imports the limitstab these tests import."""
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_cli(*argv):
@@ -147,11 +157,9 @@ def test_reproduce_script_prints_the_reference_tables(capsys):
 
 
 def test_package_import_leaves_the_cli_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import limitstab, sys; "
-         "print(sorted({'limitstab.cli', 'limitstab.verify', 'argparse'} & set(sys.modules)))"],
-        capture_output=True,
-        text=True,
+    proc = _child_python(
+        "-c", "import limitstab, sys; "
+        "print(sorted({'limitstab.cli', 'limitstab.verify', 'argparse'} & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -339,10 +347,16 @@ def test_model_error_exit_code(tmp_path):
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "limitstab", "verify"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _child_python("-m", "limitstab", "verify")
     assert proc.returncode == 0
     assert proc.stdout.strip().endswith("15/15")
+
+
+def test_a_class_prints_in_the_form_compare_reads():
+    for ch in (
+        ChernCharacter(-1, 0, (Fraction(1, 2), 3), -4),
+        ChernCharacter(0, 0, (0,), 0),
+        ChernCharacter(0, 0, (), Fraction(-7, 3)),
+    ):
+        assert _parse_chern(str(ch)) == ch
+    assert str(ChernCharacter(0, 0, (0,), 0)) == "0,0,(0),0"

@@ -9,6 +9,8 @@ from limitstab.charge import (
     ch_of_points,
     ch_of_sheaf,
     dual,
+    shape,
+    twisted_invariants,
     untwisted_slope,
 )
 from limitstab.comparator import (
@@ -21,7 +23,14 @@ from limitstab.comparator import (
 )
 from limitstab.geometry import CurveClass, NumericalThreefold
 
-from _fuzz import comparator_case
+from _fuzz import (
+    comparator_case,
+    random_in_scope_class,
+    random_k,
+    random_model,
+    random_pair,
+    random_sheaf,
+)
 
 F = Fraction
 
@@ -139,3 +148,52 @@ def test_duality_transport_negates_the_cross_polynomial():
         wd = cross_polynomial(X, dual(f), dual(e), -k)
         assert wd == poly.neg(w)
         assert compare_phases(X, dual(f), dual(e), -k) is compare_phases(X, f, e, k).reversed()
+
+
+def _minors(X, f, e, k):
+    """W's coefficients of m^5 (without its factor omega^3/12), m^3 and m."""
+    tf, te = twisted_invariants(X, f, k), twisted_invariants(X, e, k)
+    m5 = tf.v0 * te.w1 - tf.w1 * te.v0
+    m3 = (
+        X.omega_cubed / 6 * (tf.v3 * te.v0 - tf.v0 * te.v3)
+        + (tf.w1 * te.w2 - tf.w2 * te.w1) / 2
+    )
+    m1 = tf.w2 * te.v3 - tf.v3 * te.w2
+    return m5, m3, m1
+
+
+def test_minors_agree_with_the_product_route_on_every_in_scope_shape():
+    rng = random.Random(60606)
+    shape_pairs, degrees = set(), set()
+    for _ in range(3000):
+        X = random_model(rng)
+        f, e = random_in_scope_class(X, rng), random_in_scope_class(X, rng)
+        if shape(f) is None or shape(e) is None:
+            continue
+        k = random_k(rng)
+        w = cross_polynomial(X, f, e, k)
+        m5, m3, m1 = _minors(X, f, e, k)
+        assert m5 == 0
+        assert w == poly.poly([0, m1, 0, m3, 0, X.omega_cubed / 12 * m5])
+        assert compare_phases(X, f, e, k) is PhaseOrder(-poly.sign_at_infinity(w))
+        shape_pairs.add(frozenset((shape(f), shape(e))))
+        degrees.add(poly.degree(w))
+    for pair in (("pair",), ("sheaf",), ("point",), ("point", "sheaf")):
+        assert frozenset(pair) in shape_pairs
+    assert degrees == {3, 1, -1}
+
+
+def test_the_m_minor_decides_for_a_sheaf_at_its_threshold():
+    rng = random.Random(7007)
+    orders = set()
+    for _ in range(500):
+        X = random_model(rng)
+        f, e = random_sheaf(X, rng), random_pair(X, rng)
+        k = destabilizing_threshold(X, f)
+        m5, m3, m1 = _minors(X, f, e, k)
+        assert m5 == m3 == 0
+        order = PhaseOrder(-((m1 > 0) - (m1 < 0)))
+        assert compare_phases(X, f, e, k) is order
+        assert compare_phases_closed(X, f, e, k) is order
+        orders.add(order)
+    assert orders == set(PhaseOrder)

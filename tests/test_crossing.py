@@ -19,7 +19,7 @@ from limitstab.crossing import (
     l_at_wall,
     pt_symmetry_check,
 )
-from limitstab.errors import ModelDataError
+from limitstab.errors import ModelDataError, TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold, decompositions, degree, min_ch3
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import mu_threshold, pt_bounds
@@ -98,8 +98,11 @@ def test_chamber_table_examples():
 
 def test_chamber_table_requires_seed_coverage():
     single = conifold_single(1)
-    with pytest.raises(ValueError, match="below the seed bound"):
+    with pytest.raises(TableArgumentError, match="below the seed bound"):
         chamber_table(single, C1_, 1, F(-1, 4), 0)
+    for beta in (CurveClass((0,)), CurveClass((-1,))):
+        with pytest.raises(TableArgumentError, match="nonzero effective class"):
+            chamber_table(single, beta, 1, -1, 0)
     with pytest.raises(ModelDataError, match="p_seed has no entry"):
         chamber_table(single, C1_, 7, -10, 0)
 
