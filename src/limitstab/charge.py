@@ -19,29 +19,30 @@ Everything is exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import poly
 from .geometry import CurveClass, NumericalThreefold
 from .poly import Poly
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
-    """Scalar-reduced class (ch0, ch1, ch2, ch3) = (r, c*omega, gamma, n)."""
-
+class _ChernFields(NamedTuple):
     r: Fraction
     c: Fraction
     gamma: Tuple[Fraction, ...]
     n: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "gamma", tuple(Fraction(g) for g in self.gamma))
-        object.__setattr__(self, "n", Fraction(self.n))
+
+class ChernCharacter(_ChernFields):
+    """Scalar-reduced class (ch0, ch1, ch2, ch3) = (r, c*omega, gamma, n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, r, c, gamma, n) -> "ChernCharacter":
+        return super().__new__(
+            cls, Fraction(r), Fraction(c), tuple(Fraction(g) for g in gamma), Fraction(n)
+        )
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         if len(self.gamma) != len(other.gamma):
@@ -137,8 +138,7 @@ def shape(ch: ChernCharacter) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class TwistedInvariants:
+class TwistedInvariants(NamedTuple):
     """The four scalars (v0, omega^2*v1, omega*v2, v3) of the twisted vector."""
 
     v0: Fraction
@@ -165,8 +165,7 @@ def twisted_invariants(
     return TwistedInvariants(r, w1, w2, v3)
 
 
-@dataclass(frozen=True)
-class ChargePolynomial:
+class ChargePolynomial(NamedTuple):
     """Real and imaginary parts of the central charge, as polynomials in m.
 
     deg(re) <= 2 and deg(im) <= 3, always.

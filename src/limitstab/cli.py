@@ -28,6 +28,7 @@ from .crossing import (
     pt_symmetry_check,
 )
 from .errors import LimitStabError, TableArgumentError
+from .geometry import check_effective
 from .modelio import format_rational, load_model, parse_class, parse_rational
 from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
@@ -201,7 +202,8 @@ def _cmd_render(model, args, out):
 # Every option, declared once: its add_argument keywords and the converter
 # that main applies to its string (argparse converts --n and --n-max).  main
 # converts in this order, after resolving the model, so the order decides
-# which of two bad arguments is reported; then it checks the rank of --beta.
+# which of two bad arguments is reported; then it checks that --beta has the
+# model's rank and is effective.
 _OPTIONS = {
     "--preset": (dict(
         help="preset geometry, e.g. conifold_single:1, conifold_pair:3,2, "
@@ -318,7 +320,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 setattr(args, dest, convert(getattr(args, dest)))
         if "--beta" in options:
             try:
-                model.check_rank(args.beta)
+                check_effective(model, args.beta)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
         return handler(model, args, out) or 0

@@ -41,15 +41,15 @@ or hits the beta2 = 0 base case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError
 from .geometry import (
     CurveClass,
     NumericalThreefold,
+    check_effective,
     decompositions,
     degree,
     min_ch3,
@@ -57,8 +57,7 @@ from .geometry import (
 from .walls import Chamber, chambers, is_wall, mu_threshold, next_wall_above, pt_bounds, wall_set
 
 
-@dataclass(frozen=True)
-class WallDatum:
+class WallDatum(NamedTuple):
     """One admissible term of the jump sum at the wall k0."""
 
     k0: Fraction
@@ -77,8 +76,7 @@ class WallDatum:
         return f"beta1={self.beta1} n1={self.n1} | beta2={self.beta2} n2={self.n2}"
 
 
-@dataclass(frozen=True)
-class DatumContribution:
+class DatumContribution(NamedTuple):
     datum: WallDatum
     coefficient: int
     n_value: Optional[Fraction]  # None when absent from the model table
@@ -87,8 +85,7 @@ class DatumContribution:
     contribution: Fraction
 
 
-@dataclass(frozen=True)
-class WallReport:
+class WallReport(NamedTuple):
     k0: Fraction
     terms: Tuple[DatumContribution, ...]
     total: Fraction
@@ -189,11 +186,8 @@ def l_at_wall(
     k0 = Fraction(k0)
     if beta2.is_zero():
         return Fraction(1) if n2 == 0 else Fraction(0)
-    # the wall test below runs only for k0 > 0, so check the class here with
-    # the messages the cone walk would give
-    model.check_rank(beta2)
-    if not beta2.is_effective():
-        raise ValueError(f"{beta2} is not effective")
+    # the wall test below runs only for k0 > 0, so check the class here
+    check_effective(model, beta2)
     # the side toward k = 0 is the left one only for a wall right of zero
     from_right = not (k0 > 0 and is_wall(model, beta2, k0))
     return _chamber_value(model, beta2, n2, k0, from_right, cache)
@@ -306,8 +300,7 @@ def cross_wall(
     return Fraction(l_minus) - report.total, report
 
 
-@dataclass(frozen=True)
-class ChamberTable:
+class ChamberTable(NamedTuple):
     """Piecewise-constant invariant table with per-wall crossing reports."""
 
     beta: CurveClass
@@ -389,8 +382,7 @@ def chamber_table(
     return ChamberTable(beta, n, (k_lo, k_hi), tuple(entries), tuple(reports))
 
 
-@dataclass(frozen=True)
-class SymmetryRow:
+class SymmetryRow(NamedTuple):
     n: int
     p_plus: Fraction
     p_minus_derived: Fraction
@@ -399,8 +391,7 @@ class SymmetryRow:
     relation_defect: Fraction  # (P_n - P_-n) - (-1)^(n-1) * n * N(n, beta)
 
 
-@dataclass(frozen=True)
-class PTSymmetryReport:
+class PTSymmetryReport(NamedTuple):
     """Dual-side counts derived by crossing, against the pair/dual-pair relation.
 
     ``laurent`` collects the coefficients of the truncated pair-count series

@@ -14,10 +14,11 @@ class ModelDataError(LimitStabError):
 
 
 class TableArgumentError(ValueError):
-    """A chamber table was asked for with a bad argument, not bad model data.
+    """A table, wall set or slope threshold was asked for with a bad
+    argument, not bad model data.
 
-    Raised for a zero or non-effective class and for an interval that does
-    not start below the seed bound k_pt.
+    Raised for a zero class, for a non-effective class given to a table, and
+    for a table interval that does not start below the seed bound k_pt.
     """
 
 

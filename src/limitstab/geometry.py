@@ -22,21 +22,26 @@ All arithmetic is exact rational.  No floating point enters the core.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, NamedTuple, Tuple
 
 from .errors import ModelDataError
 
 
-@dataclass(frozen=True, order=True)
-class CurveClass:
-    """An integral class in the curve lattice, one coordinate per basis class."""
-
+class _CurveClassFields(NamedTuple):
     coeffs: Tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+
+class CurveClass(_CurveClassFields):
+    """An integral class in the curve lattice, one coordinate per basis class.
+
+    Ordered, hashed and compared as the tuple of its coefficients.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable[int]) -> "CurveClass":
+        return super().__new__(cls, tuple(int(c) for c in coeffs))
 
     @property
     def rank(self) -> int:
@@ -66,45 +71,51 @@ def zero_class(rank: int) -> CurveClass:
     return CurveClass((0,) * rank)
 
 
-@dataclass(frozen=True)
-class NumericalThreefold:
+class _ModelFields(NamedTuple):
+    basis: Tuple[Tuple[str, Fraction], ...]
+    omega_cubed: Fraction
+    c2_omega: Fraction
+    m_table: Mapping[CurveClass, Fraction]
+    n_table: Mapping[Tuple[int, CurveClass], Fraction]
+    p_seed: Mapping[Tuple[int, CurveClass], Fraction]
+    name: str
+
+
+class NumericalThreefold(_ModelFields):
     """Immutable numerical model; all operations on it are pure functions.
 
     ``n_table`` keys are (n, CurveClass); ``p_seed`` keys likewise;
     ``m_table`` keys are nonzero effective classes.  m(0) = 0 is a hard-wired
-    convention (empty subscheme) and is never stored.
+    convention (empty subscheme) and is never stored.  A table left out is a
+    new empty dict.
     """
 
-    basis: Tuple[Tuple[str, Fraction], ...]
-    omega_cubed: Fraction
-    c2_omega: Fraction = Fraction(0)
-    m_table: Mapping[CurveClass, Fraction] = field(default_factory=dict)
-    n_table: Mapping[Tuple[int, CurveClass], Fraction] = field(default_factory=dict)
-    p_seed: Mapping[Tuple[int, CurveClass], Fraction] = field(default_factory=dict)
-    name: str = "custom"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.basis:
+    def __new__(cls, basis, omega_cubed, c2_omega=Fraction(0), m_table=None,
+                n_table=None, p_seed=None, name="custom") -> "NumericalThreefold":
+        if not basis:
             raise ValueError("model needs at least one basis curve class")
-        object.__setattr__(
-            self, "basis", tuple((nm, Fraction(d)) for nm, d in self.basis)
-        )
-        object.__setattr__(self, "omega_cubed", Fraction(self.omega_cubed))
-        object.__setattr__(self, "c2_omega", Fraction(self.c2_omega))
-        for nm, d in self.basis:
+        basis = tuple((nm, Fraction(d)) for nm, d in basis)
+        omega_cubed, c2_omega = Fraction(omega_cubed), Fraction(c2_omega)
+        m_table = {} if m_table is None else m_table
+        n_table = {} if n_table is None else n_table
+        p_seed = {} if p_seed is None else p_seed
+        for nm, d in basis:
             if d <= 0:
                 raise ValueError(f"basis degree for {nm!r} must be > 0, got {d}")
-        if self.omega_cubed <= 0:
+        if omega_cubed <= 0:
             raise ValueError("omega_cubed must be > 0")
-        for gamma in self.m_table:
+        for gamma in m_table:
             if gamma.is_zero():
                 raise ValueError("m(0) = 0 is a convention, never stored")
-            if gamma.rank != self.rank:
+            if gamma.rank != len(basis):
                 raise ValueError(f"m_table class {gamma} has wrong rank")
-        for table, label in ((self.n_table, "n_table"), (self.p_seed, "p_seed")):
+        for table, label in ((n_table, "n_table"), (p_seed, "p_seed")):
             for n, gamma in table:
-                if gamma.rank != self.rank:
+                if gamma.rank != len(basis):
                     raise ValueError(f"{label} class {gamma} has wrong rank")
+        return super().__new__(cls, basis, omega_cubed, c2_omega, m_table, n_table, p_seed, name)
 
     @property
     def rank(self) -> int:
@@ -134,15 +145,20 @@ def degree(model: NumericalThreefold, gamma: CurveClass) -> Fraction:
     return model.degree_vector(Fraction(c) for c in gamma.coeffs)
 
 
+def check_effective(model: NumericalThreefold, beta: CurveClass) -> None:
+    """Raise ValueError unless beta has the model's rank and is effective."""
+    model.check_rank(beta)
+    if not beta.is_effective():
+        raise ValueError(f"{beta} is not effective")
+
+
 def effective_below(model: NumericalThreefold, beta: CurveClass) -> List[CurveClass]:
     """All effective classes of degree <= deg(beta), the zero class included.
 
     Bounded lattice walk over the simplicial cone; finite because every basis
     degree is positive.  Returned sorted by (degree, coordinates).
     """
-    model.check_rank(beta)
-    if not beta.is_effective():
-        raise ValueError(f"{beta} is not effective")
+    check_effective(model, beta)
     bound = degree(model, beta)
     ranges = [range(int(bound / d) + 1) for d in model.degrees]
     found = []
@@ -160,9 +176,7 @@ def min_ch3(model: NumericalThreefold, beta: CurveClass) -> Fraction:
     m(0) = 0 by the empty-subscheme convention.  A missing table entry for a
     needed nonzero class is a hard error, never a silent default.
     """
-    model.check_rank(beta)
-    if not beta.is_effective():
-        raise ValueError(f"{beta} is not effective")
+    check_effective(model, beta)
     if beta.is_zero():
         return Fraction(0)
     values = []
@@ -185,9 +199,7 @@ def decompositions(
 
     beta2 = 0 is allowed.  Sorted by (deg beta1, coordinates of beta1).
     """
-    model.check_rank(beta)
-    if not beta.is_effective():
-        raise ValueError(f"{beta} is not effective")
+    check_effective(model, beta)
     ranges = [range(c + 1) for c in beta.coeffs]
     pairs = []
     for coeffs in itertools.product(*ranges):

@@ -25,7 +25,6 @@ because no bundled computation consumes it.
 
 from __future__ import annotations
 
-import inspect
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -138,7 +137,7 @@ def build_preset(name: str, args: Tuple[Fraction, ...]) -> NumericalThreefold:
     make = _PRESETS.get(name)
     if make is None:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    params = tuple(inspect.signature(make).parameters)
+    params = make.__code__.co_varnames[: make.__code__.co_argcount]
     if len(args) > len(params):
         raise ValueError(f"too many arguments for {name}({', '.join(params)}): got {len(args)}")
     return make(*args)

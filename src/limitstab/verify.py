@@ -7,9 +7,8 @@ expected values.  Exact comparison, no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, NamedTuple
 
 from .crossing import TableCache, chamber_table, enumerate_wall_data, pt_symmetry_check
 from .geometry import CurveClass
@@ -18,8 +17,7 @@ from .presets import conifold_double, conifold_pair, conifold_single
 F = Fraction
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -28,11 +28,10 @@ engine always returns the defining value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import ModelDataError
+from .errors import TableArgumentError
 from .geometry import (
     CurveClass,
     NumericalThreefold,
@@ -43,15 +42,13 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class WallSet:
+class WallSet(NamedTuple):
     beta: CurveClass
     interval: Tuple[Fraction, Fraction]
     walls: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """Open interval between consecutive walls; None marks an unbounded end."""
 
     lo: Optional[Fraction]
@@ -81,7 +78,7 @@ def wall_set(
     if not k_lo < k_hi:
         raise ValueError(f"empty interval [{k_lo}, {k_hi}]")
     if beta.is_zero():
-        raise ValueError("wall set needs a nonzero class")
+        raise TableArgumentError("wall set needs a nonzero class")
     walls = set()
     for d in _wall_degrees(model, beta):
         step = 2 * d  # walls are m / (2d)
@@ -111,7 +108,7 @@ def is_wall(model: NumericalThreefold, beta: CurveClass, k) -> bool:
 def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:
     """max over splittings of (n - m(beta2)) / deg(beta1); finite by construction."""
     if beta.is_zero():
-        raise ValueError("mu threshold needs a nonzero class")
+        raise TableArgumentError("mu threshold needs a nonzero class")
     n = Fraction(n)
     best = None
     for beta1, beta2 in decompositions(model, beta):

@@ -165,6 +165,15 @@ def test_package_import_leaves_the_cli_unloaded():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    proc = _child_python(
+        "-c", "import limitstab.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_render_text_and_svg():
     code, text = run_cli(
         "render", "--preset", "conifold_double:1", "--beta", "2", "--n", "3",
@@ -339,11 +348,24 @@ def test_every_value_option_accepts_a_dash_leading_value():
     assert {"--beta", "--range", "--k", "--n", "--format"} <= checked
 
 
-def test_model_error_exit_code(tmp_path):
+def test_model_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.model"
     bad.write_text("omega_cubed = 6\n[m_table]\n(1) = 1/0\n")
     code, _ = run_cli("walls", "--model", str(bad), "--beta", "1", "--range", "-1:0")
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    # a zero or non-effective --beta is a bad argument, not a model failure
+    for argv, message in (
+        (("walls", "--beta", "0", "--range", "-1:0"), "wall set needs a nonzero class"),
+        (("walls", "--beta", "-1", "--range", "-1:0"), "(-1) is not effective"),
+        (("mu", "--beta", "0", "--n", "1"), "mu threshold needs a nonzero class"),
+        (("mu", "--beta", "-1", "--n", "1"), "(-1) is not effective"),
+        (("series", "--beta", "0", "--n-max", "2"), "mu threshold needs a nonzero class"),
+        (("series", "--beta", "-1", "--n-max", "2"), "(-1) is not effective"),
+        (("cross", "--beta", "-1", "--n", "1", "--k", "-1/2"), "(-1) is not effective"),
+    ):
+        assert run_cli(*argv, "--preset", "conifold_single:1") == (2, "")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_module_entry_point_runs():

@@ -146,3 +146,65 @@ def test_model_validation():
             omega_cubed=F(6),
             m_table={zero_class(1): F(0)},
         )
+
+
+def test_value_types_are_immutable_named_tuples():
+    from limitstab.charge import ChernCharacter, charge_polynomial, twisted_invariants
+    from limitstab.crossing import chamber_table, pt_symmetry_check
+    from limitstab.verify import run_verification
+    from limitstab.walls import Chamber, wall_set
+
+    double = conifold_double(1)
+    table = chamber_table(double, CurveClass((2,)), 4, -2, 0)
+    report = next(r for r in table.reports if r.terms)
+    symmetry = pt_symmetry_check(double, CurveClass((1,)), 1)
+    ch = ChernCharacter(-1, 0, (2,), 4)
+    values = (
+        CurveClass((2,)), double, ch, twisted_invariants(double, ch, -1),
+        charge_polynomial(double, ch, -1), report.terms[0].datum, report.terms[0],
+        report, table, table.entries[0][0], symmetry.rows[0], symmetry,
+        wall_set(double, CurveClass((2,)), -1, 0), run_verification()[0],
+    )
+    assert len({type(v).__name__ for v in values}) == 14
+    for value in values:
+        assert isinstance(value, tuple)
+        assert tuple(value) == tuple(getattr(value, f) for f in value._fields)
+        for name in (value._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+
+    # a class is hashed, ordered and compared as the tuple of its fields
+    beta = CurveClass([F(1), 2.0])
+    assert beta.coeffs == (1, 2) and all(type(c) is int for c in beta.coeffs)
+    assert {CurveClass((1, 2)): "x"}[beta] == "x"
+    assert hash(beta) == hash(((1, 2),)) and beta == ((1, 2),)
+    assert sorted([CurveClass((1, 0)), CurveClass((0, 2)), CurveClass((0, 1))]) == [
+        CurveClass((0, 1)), CurveClass((0, 2)), CurveClass((1, 0))
+    ]
+    lo, hi = Chamber(F(-1), None)
+    assert (lo, hi) == (-1, None) and Chamber(F(-1), None) == (-1, None)
+
+    assert ch == (-1, 0, (2,), 4)
+    assert all(type(x) is Fraction for x in (ch.r, ch.c, *ch.gamma, ch.n))
+    with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+        ChernCharacter(0, 0, (1,), "x")
+
+    model = NumericalThreefold(basis=[("C", 2)], omega_cubed=6, c2_omega="1/2")
+    assert model.basis == (("C", F(2)),) and type(model.basis[0][1]) is Fraction
+    assert (model.omega_cubed, model.c2_omega) == (F(6), F(1, 2))
+    for message, kwargs in (
+        ("model needs at least one basis curve class", dict(basis=(), omega_cubed=-1)),
+        (r"basis degree for 'C' must be > 0, got 0", dict(basis=[("C", 0)], omega_cubed=-1)),
+        ("omega_cubed must be > 0", dict(basis=[("C", 1)], omega_cubed=0)),
+        (r"m_table class \(1,1\) has wrong rank",
+         dict(basis=[("C", 1)], omega_cubed=1, m_table={CurveClass((1, 1)): 1},
+              n_table={(1, CurveClass((1, 1))): 1})),
+        (r"p_seed class \(1,1\) has wrong rank",
+         dict(basis=[("C", 1)], omega_cubed=1, p_seed={(1, CurveClass((1, 1))): 1})),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NumericalThreefold(**kwargs)
+
+    other = NumericalThreefold(basis=[("C", 2)], omega_cubed=6)
+    for name in ("m_table", "n_table", "p_seed"):
+        assert getattr(model, name) == {} and getattr(model, name) is not getattr(other, name)
