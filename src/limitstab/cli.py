@@ -34,7 +34,7 @@ from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
 from .render import render_report, render_svg, render_text
 from .verify import run_verification
-from .walls import mu_threshold, pt_bounds, wall_set
+from .walls import is_wall, mu_threshold, pt_bounds, wall_set
 
 
 class UsageError(Exception):
@@ -131,6 +131,10 @@ def _cmd_compare(model, args, out):
     for label, ch in (("F", ch_f), ("E", ch_e)):
         if shape(ch) is None:
             raise UsageError(f"{label} class {ch} is zero or out of scope")
+        if len(ch.gamma) != model.rank:
+            raise UsageError(
+                f"{label} class {ch} has rank {len(ch.gamma)}, model has rank {model.rank}"
+            )
     order = compare_phases(model, ch_f, ch_e, k)
     w = cross_polynomial(model, ch_f, ch_e, k)
     out.write(f"order\t{order.name.capitalize()}\n")
@@ -151,6 +155,9 @@ def _cmd_compare(model, args, out):
 
 
 def _cmd_cross(model, args, out):
+    # L(0, n) has no walls, yet its crossing report stays allowed
+    if not args.beta.is_zero() and not is_wall(model, args.beta, args.k):
+        raise UsageError(f"k0 = {format_rational(args.k)} is not a wall of {args.beta}")
     cache = TableCache()
     l_minus = invariant_value(model, args.beta, args.n, args.k, from_right=False, cache=cache)
     l_plus, report = cross_wall(model, args.beta, args.n, args.k, l_minus, cache)
@@ -319,15 +326,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 dest = opt[2:].replace("-", "_")
                 setattr(args, dest, convert(getattr(args, dest)))
         if "--beta" in options:
-            try:
-                check_effective(model, args.beta)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            check_effective(model, args.beta)
         return handler(model, args, out) or 0
     except (UsageError, TableArgumentError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (LimitStabError, ValueError) as exc:
+    except LimitStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

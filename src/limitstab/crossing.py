@@ -27,8 +27,9 @@ Conventions, flagged as conventions:
 
 * When k0 is itself a wall for (beta2, n2), L(beta2, n2)(at k0) means the
   value of the chamber on the side of k0 toward k = 0 (the right-hand
-  chamber for every negative wall).  This is forced by the multiple-curve
-  check and is the unique choice compatible with the dualizing involution.
+  chamber for k0 <= 0, the left-hand one for k0 > 0).  This is forced by the
+  multiple-curve check and is the unique choice compatible with the
+  dualizing involution.
 * A missing count N(n1, beta1) contributes 0 and is flagged in the report;
   it is never a crash.  Flags fire only when the numeric coefficient
   (-1)^(n1-1)*n1 is nonzero, and the recursive factor is skipped whenever
@@ -179,18 +180,18 @@ def l_at_wall(
 ) -> Fraction:
     """Value of L(beta2, n2) at the crossing point k0.
 
-    delta_{n2,0} for beta2 = 0; the chamber value when k0 is off the wall set
-    of beta2; the toward-zero chamber value when k0 sits on a wall.
+    delta_{n2,0} for beta2 = 0, otherwise the chamber value on the side of k0
+    toward k = 0, taken from the sign of k0 alone: the right-hand side for
+    k0 <= 0, the left-hand side for k0 > 0.  No wall test is needed, since
+    the side changes the march only when k0 is itself a wall of beta2; off
+    the wall set both sides are the same chamber.
     """
     cache = _bound_cache(cache, model)
+    # the zero class skips the check; a bad class fails before its seed lookup
+    if not beta2.is_zero():
+        check_effective(model, beta2)
     k0 = Fraction(k0)
-    if beta2.is_zero():
-        return Fraction(1) if n2 == 0 else Fraction(0)
-    # the wall test below runs only for k0 > 0, so check the class here
-    check_effective(model, beta2)
-    # the side toward k = 0 is the left one only for a wall right of zero
-    from_right = not (k0 > 0 and is_wall(model, beta2, k0))
-    return _chamber_value(model, beta2, n2, k0, from_right, cache)
+    return _chamber_value(model, beta2, n2, k0, k0 <= 0, cache)
 
 
 def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
@@ -212,19 +213,21 @@ def _chamber_value(
 ) -> Fraction:
     """March the jump law from the seed chamber up to k.
 
-    Crosses every wall w with k_pt <= w < k, plus w = k itself when the value
-    just right of k is wanted.  Walls below k_pt carry no admissible data
-    with a nonzero jump (the seed law), so starting the march at k_pt is
-    exact.
+    L(0, n) = delta_{n,0}, unmemoized.  Otherwise crosses every wall w with
+    k_pt <= w < k, plus w = k itself when the value just right of k is
+    wanted.  Walls below k_pt carry no admissible data with a nonzero jump
+    (the seed law), so starting the march at k_pt is exact.
     """
     key = (beta, n, k, from_right)
     if key in cache.values:
         return cache.values[key]
+    if beta.is_zero():
+        return Fraction(1) if n == 0 else Fraction(0)
     value = _seed(model, beta, n)
     k_pt = -mu_threshold(model, beta, n) / 2
     if k > k_pt:
         walls = wall_set(model, beta, k_pt, k).walls
-    elif k == k_pt and is_wall(model, beta, k_pt):
+    elif k == k_pt and from_right and is_wall(model, beta, k_pt):
         walls = (k_pt,)
     else:
         walls = ()
@@ -246,28 +249,17 @@ def _wall_total(
     if key in cache.reports:
         return cache.reports[key]
     terms = []
-    total = Fraction(0)
     for datum in enumerate_wall_data(model, beta, n, k0, cache):
         coeff = datum.coefficient
-        if coeff == 0:
-            terms.append(
-                DatumContribution(datum, coeff, None, False, None, Fraction(0))
-            )
-            continue
-        n_value = model.n_table.get((datum.n1, datum.beta1))
-        if n_value is None:
-            terms.append(
-                DatumContribution(datum, coeff, None, True, None, Fraction(0))
-            )
-            continue
-        l_value = l_at_wall(model, datum.beta2, datum.n2, k0, cache)
-        contribution = coeff * n_value * l_value
-        terms.append(
-            DatumContribution(datum, coeff, n_value, False, l_value, contribution)
-        )
-        total += contribution
-    report = WallReport(k0, tuple(terms), total)
-    cache.reports[key] = report
+        # a zero coefficient or an absent count skips the recursive factor
+        n_value = model.n_table.get((datum.n1, datum.beta1)) if coeff else None
+        l_value = None if n_value is None else l_at_wall(model, datum.beta2, datum.n2, k0, cache)
+        terms.append(DatumContribution(
+            datum, coeff, n_value, coeff != 0 and n_value is None, l_value,
+            Fraction(0) if l_value is None else coeff * n_value * l_value,
+        ))
+    total = sum((t.contribution for t in terms), Fraction(0))
+    report = cache.reports[key] = WallReport(k0, tuple(terms), total)
     return report
 
 
@@ -281,8 +273,6 @@ def invariant_value(
 ) -> Fraction:
     """Chamber value of L(beta, n) at k; the side matters only on a wall."""
     cache = _bound_cache(cache, model)
-    if beta.is_zero():
-        return Fraction(1) if n == 0 else Fraction(0)
     return _chamber_value(model, beta, n, Fraction(k), from_right, cache)
 
 
@@ -369,8 +359,8 @@ def chamber_table(
     entries = [(chams[0], value)]
     reports = []
     for chamber in chams[1:]:
-        w = chamber.lo
-        value, report = cross_wall(model, beta, n, w, value, cache)
+        report = _wall_total(model, beta, n, chamber.lo, cache)
+        value -= report.total
         reports.append(report)
         entries.append((chamber, value))
     for chamber, val in entries:

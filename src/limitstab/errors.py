@@ -17,8 +17,10 @@ class TableArgumentError(ValueError):
     """A table, wall set or slope threshold was asked for with a bad
     argument, not bad model data.
 
-    Raised for a zero class, for a non-effective class given to a table, and
-    for a table interval that does not start below the seed bound k_pt.
+    Raised for a class or a vector of the wrong rank, for a zero or
+    non-effective class where a nonzero effective one is needed, for an empty
+    interval, and for a table interval that does not start below the seed
+    bound k_pt.  A ValueError, so ``except ValueError`` still catches it.
     """
 
 

@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, List, Mapping, NamedTuple, Tuple
 
-from .errors import ModelDataError
+from .errors import ModelDataError, TableArgumentError
 
 
 class _CurveClassFields(NamedTuple):
@@ -127,7 +127,7 @@ class NumericalThreefold(_ModelFields):
 
     def check_rank(self, gamma: CurveClass) -> None:
         if gamma.rank != self.rank:
-            raise ValueError(
+            raise TableArgumentError(
                 f"class {gamma} has rank {gamma.rank}, model has rank {self.rank}"
             )
 
@@ -135,7 +135,7 @@ class NumericalThreefold(_ModelFields):
         """Degree of a rational curve vector (used for ch2 of sheaf classes)."""
         coeffs = tuple(coeffs)
         if len(coeffs) != self.rank:
-            raise ValueError("rank mismatch in degree pairing")
+            raise TableArgumentError("rank mismatch in degree pairing")
         return sum((Fraction(c) * d for c, d in zip(coeffs, self.degrees)), Fraction(0))
 
 
@@ -146,10 +146,10 @@ def degree(model: NumericalThreefold, gamma: CurveClass) -> Fraction:
 
 
 def check_effective(model: NumericalThreefold, beta: CurveClass) -> None:
-    """Raise ValueError unless beta has the model's rank and is effective."""
+    """Raise TableArgumentError unless beta has the model's rank and is effective."""
     model.check_rank(beta)
     if not beta.is_effective():
-        raise ValueError(f"{beta} is not effective")
+        raise TableArgumentError(f"{beta} is not effective")
 
 
 def effective_below(model: NumericalThreefold, beta: CurveClass) -> List[CurveClass]:

@@ -76,7 +76,7 @@ def wall_set(
     """All walls of S(beta) inside [k_lo, k_hi], deduplicated and sorted."""
     k_lo, k_hi = Fraction(k_lo), Fraction(k_hi)
     if not k_lo < k_hi:
-        raise ValueError(f"empty interval [{k_lo}, {k_hi}]")
+        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
     if beta.is_zero():
         raise TableArgumentError("wall set needs a nonzero class")
     walls = set()

@@ -363,6 +363,12 @@ def test_model_error_exit_code(tmp_path, capsys):
         (("series", "--beta", "0", "--n-max", "2"), "mu threshold needs a nonzero class"),
         (("series", "--beta", "-1", "--n-max", "2"), "(-1) is not effective"),
         (("cross", "--beta", "-1", "--n", "1", "--k", "-1/2"), "(-1) is not effective"),
+        # so are a crossing point off the wall set and a class of the wrong rank
+        (("cross", "--beta", "1", "--n", "1", "--k", "1/3"), "k0 = 1/3 is not a wall of (1)"),
+        (
+            ("compare", "--f", "0,0,(1,1),2", "--e", "-1,0,(2),3", "--k", "-1"),
+            "F class 0,0,(1,1),2 has rank 2, model has rank 1",
+        ),
     ):
         assert run_cli(*argv, "--preset", "conifold_single:1") == (2, "")
         assert capsys.readouterr().err == f"usage error: {message}\n"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass, degree, effective_below
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import (
@@ -37,6 +38,11 @@ def test_wall_set_rejects_bad_input():
         wall_set(single, CurveClass((1,)), 0, 0)
     with pytest.raises(ValueError, match="nonzero"):
         wall_set(single, CurveClass((0,)), -1, 0)
+    # bad arguments, not bad model data: both raise the argument error class
+    with pytest.raises(TableArgumentError, match=r"^empty interval \[1, 0\]$"):
+        wall_set(single, CurveClass((1,)), 1, 0)
+    with pytest.raises(TableArgumentError, match=r"^class \(1,1\) has rank 2, model has rank 1$"):
+        wall_set(single, CurveClass((1, 1)), -1, 0)
 
 
 def test_every_wall_reconstructs_as_half_integer_over_degree():
