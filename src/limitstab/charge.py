@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from . import poly
+from .errors import TableArgumentError
 from .geometry import CurveClass, NumericalThreefold
 from .poly import Poly
 
@@ -100,7 +101,7 @@ POINT_SLOPE = PointSlope()
 def ch_of_pair(beta: CurveClass, n: int) -> ChernCharacter:
     """The class (-1, 0, beta, n) of a rank-(-1) pair-type object."""
     if not beta.is_effective():
-        raise ValueError(f"{beta} is not effective")
+        raise TableArgumentError(f"{beta} is not effective")
     return ChernCharacter(
         Fraction(-1), Fraction(0), tuple(Fraction(c) for c in beta.coeffs), Fraction(n)
     )

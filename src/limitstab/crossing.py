@@ -251,9 +251,9 @@ def _wall_total(
     terms = []
     for datum in enumerate_wall_data(model, beta, n, k0, cache):
         coeff = datum.coefficient
-        # a zero coefficient or an absent count skips the recursive factor
+        # a zero coefficient, an absent count or a zero count skips the recursive factor
         n_value = model.n_table.get((datum.n1, datum.beta1)) if coeff else None
-        l_value = None if n_value is None else l_at_wall(model, datum.beta2, datum.n2, k0, cache)
+        l_value = l_at_wall(model, datum.beta2, datum.n2, k0, cache) if n_value else None
         terms.append(DatumContribution(
             datum, coeff, n_value, coeff != 0 and n_value is None, l_value,
             Fraction(0) if l_value is None else coeff * n_value * l_value,

@@ -10,6 +10,15 @@ Between consecutive walls the counting invariants are constant.  Walls are
 geometric: a wall is kept even when no admissible crossing datum lives on it
 (the crossing module then reports a zero jump).
 
+The walls of one class sit on an integer grid.  With D the lcm of the
+basis-degree denominators, every effective class has the integer degree
+e = D * deg, and the wall m / (2 * deg) is j / G with G = lcm of the 2e over
+the degrees e <= D * deg(beta) and j = m * D * G / (2e).  So the walls of
+beta are the j / G whose j is a multiple of one of the steps D * G / (2e):
+``wall_set`` merges those arithmetic progressions over a window,
+``is_wall`` tests divisibility, and ``next_wall_above`` takes the smallest
+next multiple, all on ints.  A Fraction is made only for a wall returned.
+
 ``mu_threshold`` is the largest slope a destabilizing sheaf can carry:
 
     mu(beta, n) = max over beta1 + beta2 = beta, beta1 != 0, of
@@ -35,9 +44,9 @@ from .errors import TableArgumentError
 from .geometry import (
     CurveClass,
     NumericalThreefold,
+    check_effective,
     decompositions,
     degree,
-    effective_below,
     min_ch3,
 )
 
@@ -63,11 +72,24 @@ class Chamber(NamedTuple):
         return f"({lo}, {hi})"
 
 
-def _wall_degrees(model: NumericalThreefold, beta: CurveClass) -> List[Fraction]:
-    degs = sorted(
-        {degree(model, g) for g in effective_below(model, beta) if not g.is_zero()}
-    )
-    return degs
+def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[int, ...]]:
+    """(G, steps): the walls of beta are the j/G with j a multiple of some step.
+
+    The distinct scaled degrees e <= D*deg(beta) of nonzero effective classes
+    come from an integer set walk over the simplicial cone, one basis curve at
+    a time; no class and no Fraction is built per cone point.
+    """
+    check_effective(model, beta)
+    degs = model.degrees
+    scale = math.lcm(*(d.denominator for d in degs))
+    scaled = [d.numerator * (scale // d.denominator) for d in degs]
+    bound = sum(c * e for c, e in zip(beta.coeffs, scaled))
+    reached = {0}
+    for e in scaled:
+        reached = {r + t for r in reached for t in range(0, bound - r + 1, e)}
+    reached.discard(0)
+    grid = math.lcm(*(2 * e for e in reached))
+    return grid, tuple(scale * grid // (2 * e) for e in reached)
 
 
 def wall_set(
@@ -79,30 +101,28 @@ def wall_set(
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
     if beta.is_zero():
         raise TableArgumentError("wall set needs a nonzero class")
-    walls = set()
-    for d in _wall_degrees(model, beta):
-        step = 2 * d  # walls are m / (2d)
-        m_lo = math.ceil(k_lo * step)
-        m_hi = math.floor(k_hi * step)
-        for m in range(m_lo, m_hi + 1):
-            walls.add(Fraction(m, 1) / step)
-    return WallSet(beta, (k_lo, k_hi), tuple(sorted(walls)))
+    grid, steps = _wall_grid(model, beta)
+    j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
+    j_hi = k_hi.numerator * grid // k_hi.denominator
+    found = set()
+    for s in steps:
+        found.update(range(-(-j_lo // s) * s, j_hi + 1, s))
+    return WallSet(beta, (k_lo, k_hi), tuple(Fraction(j, grid) for j in sorted(found)))
 
 
 def next_wall_above(model: NumericalThreefold, beta: CurveClass, k) -> Fraction:
     """Smallest wall of S(beta) strictly greater than k."""
     k = Fraction(k)
-    candidates = []
-    for d in _wall_degrees(model, beta):
-        step = 2 * d
-        m = math.floor(k * step) + 1  # smallest integer with m/step > k
-        candidates.append(Fraction(m, 1) / step)
-    return min(candidates)
+    grid, steps = _wall_grid(model, beta)
+    j = k.numerator * grid // k.denominator  # floor(k * grid)
+    return Fraction(min((j // s + 1) * s for s in steps), grid)
 
 
 def is_wall(model: NumericalThreefold, beta: CurveClass, k) -> bool:
     k = Fraction(k)
-    return any((2 * d * k).denominator == 1 for d in _wall_degrees(model, beta))
+    grid, steps = _wall_grid(model, beta)
+    j, rest = divmod(k.numerator * grid, k.denominator)
+    return rest == 0 and any(j % s == 0 for s in steps)
 
 
 def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:

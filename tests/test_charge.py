@@ -17,6 +17,7 @@ from limitstab.charge import (
     slope,
     twisted_invariants,
 )
+from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold
 
 F = Fraction
@@ -110,6 +111,11 @@ def test_ch_of_pair_examples():
     assert shape(ox1) == "pair" and ox1.gamma == (F(0),) and ox1.n == 0
     ch2 = ch_of_pair(CurveClass((2,)), 4)
     assert (ch2.r, ch2.gamma, ch2.n) == (-1, (F(2),), 4)
+
+
+def test_ch_of_pair_rejects_a_non_effective_class():
+    with pytest.raises(TableArgumentError, match=r"^\(-1\) is not effective$"):
+        ch_of_pair(CurveClass((-1,)), 1)
 
 
 def test_charge_polynomial_examples():

@@ -218,6 +218,20 @@ def test_missing_count_is_flagged_not_fatal():
     assert all(t.contribution == 0 for t in report.terms)
 
 
+def test_zero_count_skips_the_recursive_factor():
+    # m = 1 on (1) and (2), no seeds: at k0 = -1/2 the datum beta1 = (1),
+    # n1 = 1 would need the absent seed P(1, (1)) if its zero count recursed
+    one, two = CurveClass((1,)), CurveClass((2,))
+    bare = dict(basis=[("C", 1)], omega_cubed=1, m_table={one: F(1), two: F(1)})
+    zero = NumericalThreefold(**bare, n_table={(1, one): F(0)})
+    l_plus, report = cross_wall(zero, two, 2, F(-1, 2), F(0))
+    assert (l_plus, report.total) == (0, 0)
+    term = next(t for t in report.terms if t.datum.beta1 == one)
+    assert (term.n_value, term.missing_n, term.l_value, term.contribution) == (0, False, None, 0)
+    # an absent count gives the same total, flagged as missing
+    assert cross_wall(NumericalThreefold(**bare), two, 2, F(-1, 2), F(0))[0] == 0
+
+
 def test_effective_walls_sit_at_comparator_thresholds():
     # the jumping walls of each table are exactly the twists at which the
     # comparator's threshold says the jump's sheaf datum starts to win

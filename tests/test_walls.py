@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitstab.errors import TableArgumentError
-from limitstab.geometry import CurveClass, degree, effective_below
+from limitstab.geometry import CurveClass, NumericalThreefold, degree, effective_below
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import (
     Chamber,
@@ -43,6 +45,23 @@ def test_wall_set_rejects_bad_input():
         wall_set(single, CurveClass((1,)), 1, 0)
     with pytest.raises(TableArgumentError, match=r"^class \(1,1\) has rank 2, model has rank 1$"):
         wall_set(single, CurveClass((1, 1)), -1, 0)
+    # checked in this order: interval, zero class, rank, effectivity
+    for beta, k_lo, k_hi, text in (
+        ((0,), 1, 0, r"^empty interval \[1, 0\]$"),
+        ((-1,), 0, 0, r"^empty interval \[0, 0\]$"),
+        ((0, 0), -1, 0, r"^wall set needs a nonzero class$"),
+        ((-1, 1), -1, 0, r"^class \(-1,1\) has rank 2, model has rank 1$"),
+        ((-1,), -1, 0, r"^\(-1\) is not effective$"),
+    ):
+        with pytest.raises(TableArgumentError, match=text):
+            wall_set(single, CurveClass(beta), k_lo, k_hi)
+    for query in (is_wall, next_wall_above):
+        for beta, text in (
+            ((-1, 1), r"^class \(-1,1\) has rank 2, model has rank 1$"),
+            ((-1,), r"^\(-1\) is not effective$"),
+        ):
+            with pytest.raises(TableArgumentError, match=text):
+                query(single, CurveClass(beta), F(-1, 2))
 
 
 def test_every_wall_reconstructs_as_half_integer_over_degree():
@@ -136,3 +155,56 @@ def test_next_wall_above():
     assert next_wall_above(pair, beta, F(-1, 10)) == F(0)
     single = conifold_single(1)
     assert next_wall_above(single, CurveClass((1,)), F(-1, 2)) == F(0)
+
+
+def _reference_degrees(model, beta):
+    return sorted({degree(model, g) for g in effective_below(model, beta) if not g.is_zero()})
+
+
+def _reference_walls(model, beta, k_lo, k_hi):
+    """Every m / (2d) in [k_lo, k_hi], one Fraction per candidate."""
+    walls = set()
+    for d in _reference_degrees(model, beta):
+        for m in range(math.ceil(k_lo * 2 * d), math.floor(k_hi * 2 * d) + 1):
+            walls.add(Fraction(m, 2 * d))
+    return tuple(sorted(walls))
+
+
+@st.composite
+def _grid_cases(draw):
+    rank = draw(st.integers(1, 3))
+    degs = [
+        Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(rank)
+    ]
+    model = NumericalThreefold([(f"C{i}", d) for i, d in enumerate(degs)], 1)
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, rank - 1))] = draw(st.integers(1, 3))
+    beta = CurveClass(coeffs)
+    wall_degs = _reference_degrees(model, beta)
+
+    def endpoint():
+        if draw(st.booleans()):  # on a wall: m / (2d) for a drawn degree d
+            d = draw(st.sampled_from(wall_degs))
+            return Fraction(draw(st.integers(-12, 12)), 2 * d)
+        return Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 12)))
+
+    k_lo = endpoint()
+    k_hi = endpoint()
+    if k_hi == k_lo:
+        k_hi += Fraction(1, 7)
+    return model, beta, min(k_lo, k_hi), max(k_lo, k_hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+def test_integer_grid_matches_the_fraction_reference(case):
+    model, beta, k_lo, k_hi = case
+    walls = wall_set(model, beta, k_lo, k_hi)
+    assert walls.walls == _reference_walls(model, beta, k_lo, k_hi)
+    assert walls.interval == (k_lo, k_hi) and walls.beta == beta
+    for k in (k_lo, k_hi, (k_lo + k_hi) / 2):
+        assert is_wall(model, beta, k) == (k in _reference_walls(model, beta, k - 1, k + 1))
+        # walls of a degree d >= 1/4 are at most 2 apart
+        above = [w for w in _reference_walls(model, beta, k, k + 2) if w > k]
+        assert next_wall_above(model, beta, k) == above[0]
