@@ -143,8 +143,11 @@ def enumerate_wall_data(
     """All admissible data at k0, sorted by (deg beta1, coordinates of beta1).
 
     Empty whenever the slope constraint has no integral solution or the
-    ch3 bounds exclude every candidate.  The splittings of beta and the
-    m(beta2) bounds come from the cache's memo tables.
+    ch3 bounds exclude every candidate.  The slope test runs on ints: with
+    mu = -2*k0 and deg beta1 = p/q, n1 and its remainder come from one
+    divmod of mu.numerator*p by mu.denominator*q, and a split with a nonzero
+    remainder is skipped.  The splittings of beta and the m(beta2) bounds
+    come from the cache's memo tables.
     """
     cache = _bound_cache(cache, model)
     k0 = Fraction(k0)
@@ -158,10 +161,9 @@ def enumerate_wall_data(
         cache.splits[beta] = splits
     out = []
     for beta1, deg1, beta2 in splits:
-        n1 = mu * deg1
-        if n1.denominator != 1:
+        n1, rest = divmod(mu.numerator * deg1.numerator, mu.denominator * deg1.denominator)
+        if rest:
             continue
-        n1 = int(n1)
         n2 = n - n1
         m2 = cache.m.get(beta2)
         if m2 is None:

@@ -156,7 +156,9 @@ def effective_below(model: NumericalThreefold, beta: CurveClass) -> List[CurveCl
     """All effective classes of degree <= deg(beta), the zero class included.
 
     Bounded lattice walk over the simplicial cone; finite because every basis
-    degree is positive.  Returned sorted by (degree, coordinates).
+    degree is positive.  Each lattice point's degree is computed once and
+    serves both the bound test and the sort.  Returned sorted by (degree,
+    coordinates).
     """
     check_effective(model, beta)
     bound = degree(model, beta)
@@ -164,10 +166,11 @@ def effective_below(model: NumericalThreefold, beta: CurveClass) -> List[CurveCl
     found = []
     for coeffs in itertools.product(*ranges):
         gamma = CurveClass(coeffs)
-        if degree(model, gamma) <= bound:
-            found.append(gamma)
-    found.sort(key=lambda g: (degree(model, g), g.coeffs))
-    return found
+        d = degree(model, gamma)
+        if d <= bound:
+            found.append((d, gamma))  # a class orders as its coordinates
+    found.sort()
+    return [gamma for _, gamma in found]
 
 
 def min_ch3(model: NumericalThreefold, beta: CurveClass) -> Fraction:

@@ -77,8 +77,11 @@ def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[
 
     The distinct scaled degrees e <= D*deg(beta) of nonzero effective classes
     come from an integer set walk over the simplicial cone, one basis curve at
-    a time; no class and no Fraction is built per cone point.
+    a time; no class and no Fraction is built per cone point.  The zero class
+    has no walls and is rejected before the rank and effectivity checks.
     """
+    if beta.is_zero():
+        raise TableArgumentError("wall set needs a nonzero class")
     check_effective(model, beta)
     degs = model.degrees
     scale = math.lcm(*(d.denominator for d in degs))
@@ -99,8 +102,6 @@ def wall_set(
     k_lo, k_hi = Fraction(k_lo), Fraction(k_hi)
     if not k_lo < k_hi:
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
-    if beta.is_zero():
-        raise TableArgumentError("wall set needs a nonzero class")
     grid, steps = _wall_grid(model, beta)
     j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
     j_hi = k_hi.numerator * grid // k_hi.denominator

@@ -22,7 +22,7 @@ from limitstab.crossing import (
 from limitstab.errors import ModelDataError, TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold, decompositions, degree, min_ch3
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
-from limitstab.walls import mu_threshold, pt_bounds
+from limitstab.walls import mu_threshold, pt_bounds, wall_set
 
 F = Fraction
 C1_ = CurveClass((1,))
@@ -386,6 +386,46 @@ def test_split_table_matches_the_cone_enumeration(case):
     k_pt = -mu_threshold(model, beta, n) / 2
     table = lambda cache: chamber_table(model, beta, n, k_pt - F(1, 4), k_pt + F(1, 2), cache)
     assert _outcome(lambda: table(shared)) == _outcome(lambda: table(None))
+
+
+@st.composite
+def _slope_cases(draw):
+    rank = draw(st.integers(1, 3))
+    degrees = [F(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(rank)]
+    coeffs = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    assume(any(coeffs))
+    bound = sum(c * d for c, d in zip(coeffs, degrees))
+    classes = [
+        CurveClass(g)
+        for g in itertools.product(*(range(int(bound / d) + 1) for d in degrees))
+        if any(g) and sum(c * d for c, d in zip(g, degrees)) <= bound
+    ]
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(6),
+        m_table={g: draw(st.integers(-2, 3).map(F)) for g in classes},
+    )
+    return model, CurveClass(coeffs), draw(st.integers(-4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_slope_cases())
+def test_integer_slope_test_matches_the_fraction_reference(case):
+    model, beta, n = case
+    walls = wall_set(model, beta, F(-1, 2), F(1, 2)).walls
+    assert F(0) in walls  # k0 = 0: every split has n1 = 0
+    # every wall in the window, and a point strictly between each pair of them
+    off_walls = [(a + b) / 2 for a, b in zip(walls, walls[1:])]
+    cache = TableCache()
+    for k0 in walls + tuple(off_walls):
+        reference = _reference_wall_data(model, beta, n, k0)
+        assert enumerate_wall_data(model, beta, n, k0, cache) == reference
+        assert enumerate_wall_data(model, beta, -n, -k0, cache) == _reference_wall_data(
+            model, beta, -n, -k0
+        )
+    for k0 in off_walls:
+        # off the wall set no split has an integral n1
+        assert enumerate_wall_data(model, beta, n, k0, cache) == []
 
 
 def _sparse_m_model():

@@ -1,8 +1,12 @@
+import itertools
+import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from limitstab import geometry
 from limitstab.errors import ModelDataError
 from limitstab.geometry import (
     CurveClass,
@@ -133,6 +137,71 @@ def test_decompositions_split_degree_exactly(beta):
         assert not b1.is_zero()
         assert b1.is_effective() and b2.is_effective()
         assert degree(pair, b1) + degree(pair, b2) == degree(pair, beta)
+
+
+def _reference_cone(degrees, coeffs):
+    """(degree, coeffs) of every lattice point of degree <= deg beta, sorted."""
+    bound = sum(c * d for c, d in zip(coeffs, degrees))
+    box = itertools.product(*(range(math.floor(bound / d) + 1) for d in degrees))
+    return sorted(
+        (sum(c * d for c, d in zip(g, degrees)), g)
+        for g in box
+        if sum(c * d for c, d in zip(g, degrees)) <= bound
+    )
+
+
+@st.composite
+def _cone_cases(draw):
+    rank = draw(st.integers(1, 3))
+    degrees = [F(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(rank)]
+    coeffs = tuple(draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank)))
+    return degrees, coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases(), data=st.data())
+def test_effective_below_matches_the_sorted_box(case, data):
+    degrees, coeffs = case
+    reference = _reference_cone(degrees, coeffs)
+    classes = [CurveClass(g) for _, g in reference if any(g)]
+    m_table = {g: F(sum(g.coeffs) % 5 - 2) for g in classes}
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(1),
+        m_table=m_table,
+    )
+    beta = CurveClass(coeffs)
+    assert effective_below(model, beta) == [CurveClass(g) for _, g in reference]
+    assert min_ch3(model, beta) == min(m_table.values(), default=F(0))
+    if not classes:
+        return
+    # with classes removed, the error names the first absent one in cone order
+    removed = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=2))
+    first = next(g for g in classes if g in removed)
+    model = model._replace(m_table={g: v for g, v in m_table.items() if g not in removed})
+    with pytest.raises(ModelDataError, match=f"^m_table has no entry for class {re.escape(str(first))} "):
+        min_ch3(model, beta)
+
+
+def test_effective_below_computes_each_degree_once(monkeypatch):
+    calls = []
+    counted = lambda model, gamma: calls.append(gamma) or degree(model, gamma)
+    monkeypatch.setattr(geometry, "degree", counted)
+    rank3 = NumericalThreefold(
+        basis=(("A", F(1, 2)), ("B", F(3, 4)), ("C", F(2))), omega_cubed=F(1)
+    )
+    for model, beta in (
+        (conifold_single(1), CurveClass((3,))),
+        (conifold_pair(3, 2), CurveClass((1, 1))),
+        (conifold_double(1), CurveClass((2,))),
+        (rank3, CurveClass((2, 1, 1))),
+    ):
+        bound = sum(c * d for c, d in zip(beta.coeffs, model.degrees))
+        box = itertools.product(*(range(math.floor(bound / d) + 1) for d in model.degrees))
+        calls.clear()
+        effective_below(model, beta)
+        # one call for the bound, then one per lattice point of the box
+        assert calls == [beta] + [CurveClass(g) for g in box]
 
 
 def test_model_validation():

@@ -57,6 +57,8 @@ def test_wall_set_rejects_bad_input():
             wall_set(single, CurveClass(beta), k_lo, k_hi)
     for query in (is_wall, next_wall_above):
         for beta, text in (
+            ((0,), r"^wall set needs a nonzero class$"),
+            ((0, 0), r"^wall set needs a nonzero class$"),
             ((-1, 1), r"^class \(-1,1\) has rank 2, model has rank 1$"),
             ((-1,), r"^\(-1\) is not effective$"),
         ):
