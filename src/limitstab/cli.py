@@ -34,7 +34,7 @@ from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
 from .render import render_report, render_svg, render_text
 from .verify import run_verification
-from .walls import is_wall, mu_threshold, pt_bounds, wall_set
+from .walls import is_wall, pt_bounds, wall_set
 
 
 class UsageError(Exception):
@@ -119,9 +119,8 @@ def _cmd_walls(model, args, out):
 
 
 def _cmd_mu(model, args, out):
-    mu = mu_threshold(model, args.beta, args.n)
     k_pt, k_dual = pt_bounds(model, args.beta, args.n)
-    out.write(f"mu\t{format_rational(mu)}\n")
+    out.write(f"mu\t{format_rational(-2 * k_pt)}\n")
     out.write(f"k_pt\t{format_rational(k_pt)}\n")
     out.write(f"k_dual\t{format_rational(k_dual)}\n")
 

@@ -52,7 +52,6 @@ from .geometry import (
     NumericalThreefold,
     check_effective,
     decompositions,
-    degree,
     min_ch3,
 )
 from .walls import Chamber, chambers, is_wall, mu_threshold, next_wall_above, pt_bounds, wall_set
@@ -99,8 +98,9 @@ class TableCache:
 
     * ``values[(beta, n, k, from_right)]`` -- chamber values;
     * ``reports[(beta, n, k0)]`` -- wall reports;
-    * ``splits[beta]`` -- ``(beta1, deg beta1, beta2)`` for every splitting,
-      in the order of ``decompositions(model, beta)``;
+    * ``splits[beta]`` -- the split table ``decompositions(model, beta)``
+      as returned, ``(beta1, deg beta1, beta2)`` in (deg beta1, coordinates)
+      order;
     * ``m[beta2]`` -- ``min_ch3(model, beta2)``; a failing call is not stored.
 
     A cache binds to the first model it serves and refuses any other.
@@ -154,11 +154,7 @@ def enumerate_wall_data(
     mu = -2 * k0
     splits = cache.splits.get(beta)
     if splits is None:
-        splits = tuple(
-            (beta1, degree(model, beta1), beta2)
-            for beta1, beta2 in decompositions(model, beta)
-        )
-        cache.splits[beta] = splits
+        splits = cache.splits[beta] = decompositions(model, beta)
     out = []
     for beta1, deg1, beta2 in splits:
         n1, rest = divmod(mu.numerator * deg1.numerator, mu.denominator * deg1.denominator)

@@ -197,18 +197,17 @@ def min_ch3(model: NumericalThreefold, beta: CurveClass) -> Fraction:
 
 def decompositions(
     model: NumericalThreefold, beta: CurveClass
-) -> List[Tuple[CurveClass, CurveClass]]:
-    """All ordered effective splittings beta = beta1 + beta2 with beta1 != 0.
+) -> Tuple[Tuple[CurveClass, Fraction, CurveClass], ...]:
+    """The split table: (beta1, deg beta1, beta2) for every ordered effective
+    splitting beta = beta1 + beta2 with beta1 != 0; beta2 = 0 is allowed.
 
-    beta2 = 0 is allowed.  Sorted by (deg beta1, coordinates of beta1).
+    Sorted by (deg beta1, coordinates of beta1); each degree is computed once.
     """
     check_effective(model, beta)
-    ranges = [range(c + 1) for c in beta.coeffs]
-    pairs = []
-    for coeffs in itertools.product(*ranges):
+    splits = []
+    for coeffs in itertools.product(*(range(c + 1) for c in beta.coeffs)):
         beta1 = CurveClass(coeffs)
-        if beta1.is_zero():
-            continue
-        pairs.append((beta1, beta - beta1))
-    pairs.sort(key=lambda p: (degree(model, p[0]), p[0].coeffs))
-    return pairs
+        if not beta1.is_zero():
+            splits.append((beta1, degree(model, beta1), beta - beta1))
+    splits.sort(key=lambda s: (s[1], s[0]))  # a class orders as its coordinates
+    return tuple(splits)

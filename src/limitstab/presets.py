@@ -11,9 +11,11 @@ need; anything else is deliberately absent and queries for it fail loudly
   |n| <= 4 on [C] classes are forced by the published tables through the
   jump law, and N(n, beta') = N(-n, beta') because the dualizing involution
   identifies the two moduli problems;
-* the only non-integral count, N(+-4, 2[C]) = -1/4, is the stack-weighted
-  count of the strictly semistable rank-two sheaf on the doubled curve, a
-  published value consumed as data;
+* ``n_table`` holds each wall's linearized coefficient: [q^n Q^beta'] of
+  exp(A_w) - 1 over (-1)^(n-1) n, A_w summing (-1)^(n-1) n N(n, beta') q^n
+  Q^beta' over the counts on the wall w.  So the one non-integral entry,
+  N(+-4, 2[C]) = -1/4, linearizes the doubled curve's stack-weighted count
+  N(4, 2[C]) = 1/4 with N(2, [C]) = 1: -1 + (-2)^2/2 = (-1)^3 * 4 * (-1/4);
 * pair seeds: P(n, [C]) = (-1)^(n-1) * n on a single rigid curve and
   P(-n, .) = 0 (no dual pairs below the first wall); the doubled-curve seeds
   P(3, 2[C]) = -2 and P(4, 2[C]) = 4 are published values.

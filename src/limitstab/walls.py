@@ -46,7 +46,6 @@ from .geometry import (
     NumericalThreefold,
     check_effective,
     decompositions,
-    degree,
     min_ch3,
 )
 
@@ -131,13 +130,8 @@ def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:
     if beta.is_zero():
         raise TableArgumentError("mu threshold needs a nonzero class")
     n = Fraction(n)
-    best = None
-    for beta1, beta2 in decompositions(model, beta):
-        value = (n - min_ch3(model, beta2)) / degree(model, beta1)
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+    # min_ch3 runs in split order, so the first class without m data is the one named
+    return max((n - min_ch3(model, beta2)) / deg1 for _, deg1, beta2 in decompositions(model, beta))
 
 
 def pt_bounds(

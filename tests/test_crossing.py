@@ -317,16 +317,29 @@ class _SeedEverywhere(dict):
 
 
 def _reference_wall_data(model, beta, n, k0):
-    """The jump-law data at k0, straight from the cone enumeration."""
+    """The jump-law data at k0 from a test-local split of beta's box.
+
+    The degrees are plain sums over the basis and m(beta2) is the minimum
+    of m_table over the nonzero lattice points of degree <= deg beta2, so no
+    engine enumeration (decompositions, degree, min_ch3) is consulted.
+    """
+    deg = lambda coeffs: sum(c * d for c, d in zip(coeffs, model.degrees))
+
+    def m(coeffs):
+        box = itertools.product(*(range(int(deg(coeffs) / d) + 1) for d in model.degrees))
+        cone = [g for g in box if any(g) and deg(g) <= deg(coeffs)]
+        return min((model.m_table[CurveClass(g)] for g in cone), default=F(0))
+
     out = []
-    for beta1, beta2 in decompositions(model, beta):
-        n1 = -2 * k0 * degree(model, beta1)
+    box = itertools.product(*(range(c + 1) for c in beta.coeffs))
+    for g1 in sorted((g for g in box if any(g)), key=lambda g: (deg(g), g)):
+        n1 = -2 * k0 * deg(g1)
         if n1.denominator != 1:
             continue
+        g2 = tuple(c - c1 for c, c1 in zip(beta.coeffs, g1))
         n2 = n - int(n1)
-        m2 = min_ch3(model, beta2)
-        if n2 >= m2 or (not beta2.is_zero() and n2 <= -m2):
-            out.append(WallDatum(k0, beta1, int(n1), beta2, n2))
+        if n2 >= m(g2) or (any(g2) and n2 <= -m(g2)):
+            out.append(WallDatum(k0, CurveClass(g1), int(n1), CurveClass(g2), n2))
     return out
 
 
@@ -480,3 +493,101 @@ def test_each_class_is_split_once_per_cache(monkeypatch):
     before = len(split), len(bounded)
     chamber_table(double, C2_, 3, -2, 0, cache)
     assert (len(split), len(bounded)) == before
+
+
+@st.composite
+def _permuted_cases(draw):
+    rank = draw(st.integers(2, 3))
+    basis_degrees = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)])
+    degrees = [draw(basis_degrees) for _ in range(rank)]
+    coeffs = draw(st.lists(st.integers(0, 3 - rank + 1), min_size=rank, max_size=rank))
+    assume(sum(c > 0 for c in coeffs) >= 2)
+    bound = sum(c * d for c, d in zip(coeffs, degrees))
+    cone = [
+        g for g in itertools.product(*(range(int(bound / d) + 1) for d in degrees))
+        if any(g) and sum(c * d for c, d in zip(g, degrees)) <= bound
+    ]
+    box = [g for g in itertools.product(*(range(c + 1) for c in coeffs)) if any(g)]
+    m_values = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(2)])
+    n_values = st.sampled_from([None, None, F(0), F(1), F(-1, 2), F(2)])
+    n_counts = {(n1, g): draw(n_values) for g in box for n1 in range(-4, 5) if n1}
+    tables = dict(
+        m_table={g: draw(m_values) for g in cone},
+        n_table={key: v for key, v in n_counts.items() if v is not None},
+        # an asymmetric formula, so a mislabelled class reads a different seed
+        p_seed={(n, g): F((3 * n + 5 * g[0] + 2 * g[1] + 4 * g[-1]) % 7 - 3)
+                for g in box for n in range(-24, 25)},
+    )
+    perm = draw(st.permutations(range(rank)))
+    assume(list(perm) != list(range(rank)))
+    return degrees, tables, coeffs, perm, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_permuted_cases())
+def test_tables_do_not_depend_on_the_basis_order(case):
+    """Permuting the basis, with every table remapped, relabels the reports and
+    changes no value, no wall and no wall total."""
+    degrees, tables, coeffs, perm, n = case
+    relabel = lambda g: CurveClass(g.coeffs[i] for i in perm)
+    models = []
+    for order, move in ((range(len(degrees)), lambda g: g), (perm, relabel)):
+        models.append(NumericalThreefold(
+            basis=tuple((f"C{i}", degrees[i]) for i in order),
+            omega_cubed=F(6),
+            m_table={move(CurveClass(g)): v for g, v in tables["m_table"].items()},
+            n_table={(n1, move(CurveClass(g))): v for (n1, g), v in tables["n_table"].items()},
+            p_seed={(n2, move(CurveClass(g))): v for (n2, g), v in tables["p_seed"].items()},
+        ))
+    beta = CurveClass(coeffs)
+    k_pt = -mu_threshold(models[0], beta, n) / 2
+    assert -mu_threshold(models[1], relabel(beta), n) / 2 == k_pt
+    # start between k_pt and the wall below it, so no chamber but the first is under k_pt
+    below = wall_set(models[0], beta, k_pt - 1, k_pt).walls
+    k_lo = (k_pt + max((w for w in below if w < k_pt), default=k_pt - 1)) / 2
+    original, permuted = (
+        chamber_table(model, b, n, k_lo, k_pt + 2)
+        for model, b in zip(models, (beta, relabel(beta)))
+    )
+    assert permuted.merged() == original.merged()
+    assert permuted.entries == original.entries
+    assert permuted.effective_walls() == original.effective_walls()
+    totals = lambda table: [(r.k0, r.total) for r in table.reports]
+    assert totals(permuted) == totals(original)
+
+    def terms(report, move):
+        return sorted(
+            ((move(t.datum.beta1), t.datum.n1, move(t.datum.beta2), t.datum.n2) + tuple(t[1:])
+             for t in report.terms),
+            key=lambda row: row[0],
+        )
+
+    for a, b in zip(original.reports, permuted.reports):
+        assert terms(a, relabel) == terms(b, lambda g: g)
+
+
+def _linearized(counts, n, k):
+    """[q^n Q^k](exp(A) - 1) / ((-1)^(n-1) n) for A = sum (-1)^(n'-1) n' N(n', k') q^n' Q^k'.
+
+    ``counts`` maps (n', k') to N(n', k') for the multiples k'[C] of one curve.
+    """
+    a = {key: (1 if key[0] % 2 else -1) * key[0] * value for key, value in counts.items()}
+    power, total = {(0, 0): F(1)}, F(0)
+    for j in range(1, k + 1):  # every k' >= 1, so the powers A^j with j > k have no Q^k
+        step = {}
+        for (n1, k1), c1 in power.items():
+            for (n2, k2), c2 in a.items():
+                step[(n1 + n2, k1 + k2)] = step.get((n1 + n2, k1 + k2), 0) + c1 * c2 / j
+        power = step  # A^j / j!
+        total += power.get((n, k), 0)
+    return total / ((1 if n % 2 else -1) * n)
+
+
+def test_double_preset_counts_are_linearized_wall_coefficients():
+    # the paper's counts on the wall k = -1/d: N(2, [C]) = 1 and N(4, 2[C]) = 1/4
+    assert _linearized({(2, 1): F(1), (4, 2): F(1, 4)}, 4, 2) == F(-1, 4)
+    # on the wall -1/(2d): N(1, [C]) = 1 and N(2, 2[C]) = 1/4 linearize to 0
+    assert _linearized({(1, 1): F(1), (2, 2): F(1, 4)}, 2, 2) == 0
+    n_table = conifold_double(1).n_table
+    assert n_table[(4, C2_)] == n_table[(-4, C2_)] == F(-1, 4)
+    assert (2, C2_) not in n_table and (-2, C2_) not in n_table

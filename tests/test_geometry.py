@@ -105,19 +105,19 @@ def test_min_ch3_monotone_under_cone_inclusion():
 
 def test_decompositions_examples():
     single = conifold_single(1)
-    assert decompositions(single, CurveClass((1,))) == [
-        (CurveClass((1,)), CurveClass((0,)))
-    ]
+    assert decompositions(single, CurveClass((1,))) == (
+        (CurveClass((1,)), F(1), CurveClass((0,))),
+    )
     double = conifold_double(1)
     assert set(decompositions(double, CurveClass((2,)))) == {
-        (CurveClass((1,)), CurveClass((1,))),
-        (CurveClass((2,)), CurveClass((0,))),
+        (CurveClass((1,)), F(1), CurveClass((1,))),
+        (CurveClass((2,)), F(2), CurveClass((0,))),
     }
     pair = conifold_pair(3, 2)
     assert set(decompositions(pair, CurveClass((1, 1)))) == {
-        (CurveClass((1, 0)), CurveClass((0, 1))),
-        (CurveClass((0, 1)), CurveClass((1, 0))),
-        (CurveClass((1, 1)), CurveClass((0, 0))),
+        (CurveClass((1, 0)), F(3), CurveClass((0, 1))),
+        (CurveClass((0, 1)), F(2), CurveClass((1, 0))),
+        (CurveClass((1, 1)), F(5), CurveClass((0, 0))),
     }
 
 
@@ -133,9 +133,10 @@ def test_degree_is_linear(g1, g2):
 @given(small_classes)
 def test_decompositions_split_degree_exactly(beta):
     pair = conifold_pair(3, 2)
-    for b1, b2 in decompositions(pair, beta):
+    for b1, d1, b2 in decompositions(pair, beta):
         assert not b1.is_zero()
         assert b1.is_effective() and b2.is_effective()
+        assert d1 == degree(pair, b1)
         assert degree(pair, b1) + degree(pair, b2) == degree(pair, beta)
 
 
@@ -181,6 +182,26 @@ def test_effective_below_matches_the_sorted_box(case, data):
     model = model._replace(m_table={g: v for g, v in m_table.items() if g not in removed})
     with pytest.raises(ModelDataError, match=f"^m_table has no entry for class {re.escape(str(first))} "):
         min_ch3(model, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases())
+def test_decompositions_match_the_sorted_box(case):
+    degrees, coeffs = case
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)), omega_cubed=F(1)
+    )
+    # every nonzero beta1 of beta's box, with a test-local degree sum
+    box = itertools.product(*(range(c + 1) for c in coeffs))
+    reference = sorted(
+        (sum(c * d for c, d in zip(g, degrees)), g) for g in box if any(g)
+    )
+    splits = decompositions(model, CurveClass(coeffs))
+    assert type(splits) is tuple
+    assert [(d1, b1.coeffs) for b1, d1, _ in splits] == reference
+    for b1, d1, b2 in splits:
+        assert d1 == degree(model, b1)
+        assert b1 + b2 == CurveClass(coeffs)
 
 
 def test_effective_below_computes_each_degree_once(monkeypatch):

@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitstab.errors import TableArgumentError
+from limitstab.errors import ModelDataError, TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold, degree, effective_below
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import (
@@ -113,6 +114,75 @@ def test_mu_threshold_nondecreasing_with_unit_increments():
             lo = mu_threshold(model, beta, n)
             hi = mu_threshold(model, beta, n + 1)
             assert hi >= lo + 1 / d
+
+
+def _brute_mu(degrees, m_table, coeffs, n):
+    """mu(beta, n) from test-local splits, degrees and m bounds.
+
+    Splits and cones are walked in (degree, coordinates) order, so a class
+    without m data raises the engine's ModelDataError text.
+    """
+    deg = lambda g: sum(c * d for c, d in zip(g, degrees))
+
+    def m(g2):
+        box = itertools.product(*(range(math.floor(deg(g2) / d) + 1) for d in degrees))
+        cone = [CurveClass(g) for g in box if any(g) and deg(g) <= deg(g2)]
+        values = []
+        for gamma in sorted(cone, key=lambda g: (deg(g.coeffs), g)):
+            if gamma not in m_table:
+                raise ModelDataError(
+                    f"m_table has no entry for class {gamma} (needed for m({CurveClass(g2)}))"
+                )
+            values.append(m_table[gamma])
+        return min(values, default=F(0))
+
+    splits = sorted((g for g in itertools.product(*(range(c + 1) for c in coeffs)) if any(g)),
+                    key=lambda g: (deg(g), g))
+    return max((n - m(tuple(c - c1 for c, c1 in zip(coeffs, g1)))) / deg(g1) for g1 in splits)
+
+
+def _mu_outcome(call):
+    try:
+        return ("ok", call())
+    except ModelDataError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def _mu_cases(draw):
+    rank = draw(st.integers(1, 3))
+    degrees = [F(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(rank)]
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
+    if not any(coeffs):
+        coeffs[draw(st.integers(0, rank - 1))] = draw(st.integers(1, 3))
+    bound = sum(c * d for c, d in zip(coeffs, degrees))
+    box = itertools.product(*(range(math.floor(bound / d) + 1) for d in degrees))
+    m_values = st.sampled_from([F(-2), F(-3, 2), F(-1), F(0), F(1, 3), F(1), F(5, 2)])
+    m_table = {
+        CurveClass(g): draw(m_values)
+        for g in box
+        if any(g) and sum(c * d for c, d in zip(g, degrees)) <= bound
+    }
+    return degrees, m_table, tuple(coeffs), draw(st.integers(-4, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_mu_cases(), data=st.data())
+def test_mu_threshold_matches_the_brute_force(case, data):
+    degrees, m_table, coeffs, n = case
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(1),
+        m_table=m_table,
+    )
+    beta = CurveClass(coeffs)
+    assert mu_threshold(model, beta, n) == _brute_mu(degrees, m_table, coeffs, n)
+    # one class removed: the same value when no split needs it, else the same error
+    removed = data.draw(st.sampled_from(sorted(m_table)))
+    m_table = {g: v for g, v in m_table.items() if g != removed}
+    model = model._replace(m_table=m_table)
+    expected = _mu_outcome(lambda: _brute_mu(degrees, m_table, coeffs, n))
+    assert _mu_outcome(lambda: mu_threshold(model, beta, n)) == expected
 
 
 def test_pt_bounds_examples():
