@@ -196,6 +196,8 @@ def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
     try:
         return model.p_seed[(n, beta)]
     except KeyError:
+        # a bad class is an argument error; checked on a miss only, off the memo-hit path
+        check_effective(model, beta)
         raise ModelDataError(
             f"p_seed has no entry for (n={n}, beta={beta})"
         ) from None

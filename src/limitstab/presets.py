@@ -20,6 +20,9 @@ need; anything else is deliberately absent and queries for it fail loudly
   P(-n, .) = 0 (no dual pairs below the first wall); the doubled-curve seeds
   P(3, 2[C]) = -2 and P(4, 2[C]) = 4 are published values.
 
+``_conifold`` applies the three shared rules (m = 1 per basis curve,
+N(n, beta') = N(-n, beta') and P(-n, beta') = 0) once for all three presets.
+
 m(beta) for non-reduced classes (e.g. m(2[C])) is undefined model data:
 supplying it is the model author's responsibility, and the presets omit it
 because no bundled computation consumes it.
@@ -28,20 +31,30 @@ because no bundled computation consumes it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .geometry import CurveClass, NumericalThreefold
 
 
-def _seed_single_curve(index: int, rank: int, n_range) -> Dict:
-    """P(n, C_index) = (-1)^(n-1) n and P(-n, C_index) = 0 for n in n_range."""
-    coeffs = tuple(1 if i == index else 0 for i in range(rank))
-    c = CurveClass(coeffs)
-    seeds = {}
-    for n in n_range:
-        seeds[(n, c)] = Fraction((-1) ** (n - 1) * n)
-        seeds[(-n, c)] = Fraction(0)
-    return seeds
+def _conifold(name, basis, counts, seeds) -> NumericalThreefold:
+    """The model on ``basis`` with the three shared rules applied once.
+
+    ``counts`` and ``seeds`` map (n, coefficients) to N(n, beta') and
+    P(n, beta') for n > 0.  m = 1 on each basis curve, each count is stored
+    at n and at -n, and each seed P(n, beta') comes with P(-n, beta') = 0.
+    """
+    rank = len(basis)
+    return NumericalThreefold(
+        basis=basis,
+        omega_cubed=Fraction(6),
+        c2_omega=Fraction(0),
+        m_table={CurveClass(int(i == j) for j in range(rank)): Fraction(1) for i in range(rank)},
+        n_table={(s * n, CurveClass(c)): Fraction(v)
+                 for (n, c), v in counts.items() for s in (1, -1)},
+        p_seed={(s * n, CurveClass(c)): Fraction(v if s > 0 else 0)
+                for (n, c), v in seeds.items() for s in (1, -1)},
+        name=name,
+    )
 
 
 def conifold_single(d=1) -> NumericalThreefold:
@@ -49,19 +62,11 @@ def conifold_single(d=1) -> NumericalThreefold:
     d = Fraction(d)
     if d <= 0:
         raise ValueError("degree must be positive")
-    c = CurveClass((1,))
-    n_table = {}
-    for n in range(1, 5):
-        n_table[(n, c)] = Fraction(1)
-        n_table[(-n, c)] = Fraction(1)
-    return NumericalThreefold(
-        basis=(("C", d),),
-        omega_cubed=Fraction(6),
-        c2_omega=Fraction(0),
-        m_table={c: Fraction(1)},
-        n_table=n_table,
-        p_seed=_seed_single_curve(0, 1, range(1, 5)),
-        name=f"conifold_single(d={d})",
+    return _conifold(
+        f"conifold_single(d={d})",
+        (("C", d),),
+        {(n, (1,)): 1 for n in range(1, 5)},
+        {(n, (1,)): (-1) ** (n - 1) * n for n in range(1, 5)},
     )
 
 
@@ -73,31 +78,11 @@ def conifold_pair(d1=3, d2=2) -> NumericalThreefold:
     d1, d2 = Fraction(d1), Fraction(d2)
     if not d1 > d2 > 0:
         raise ValueError("conifold_pair requires d1 > d2 > 0")
-    c1 = CurveClass((1, 0))
-    c2 = CurveClass((0, 1))
-    beta = CurveClass((1, 1))
-    n_table = {}
-    for cls in (c1, c2):
-        n_table[(1, cls)] = Fraction(1)
-        n_table[(-1, cls)] = Fraction(1)
-    for n in (1, 2):
-        n_table[(n, beta)] = Fraction(1)
-        n_table[(-n, beta)] = Fraction(1)
-    p_seed = {}
-    p_seed.update(_seed_single_curve(0, 2, range(1, 2)))
-    p_seed.update(_seed_single_curve(1, 2, range(1, 2)))
-    p_seed[(1, beta)] = Fraction(1)
-    p_seed[(-1, beta)] = Fraction(0)
-    p_seed[(2, beta)] = Fraction(-1)
-    p_seed[(-2, beta)] = Fraction(0)
-    return NumericalThreefold(
-        basis=(("C1", d1), ("C2", d2)),
-        omega_cubed=Fraction(6),
-        c2_omega=Fraction(0),
-        m_table={c1: Fraction(1), c2: Fraction(1)},
-        n_table=n_table,
-        p_seed=p_seed,
-        name=f"conifold_pair(d1={d1},d2={d2})",
+    return _conifold(
+        f"conifold_pair(d1={d1},d2={d2})",
+        (("C1", d1), ("C2", d2)),
+        {(1, (1, 0)): 1, (1, (0, 1)): 1, (1, (1, 1)): 1, (2, (1, 1)): 1},
+        {(1, (1, 0)): 1, (1, (0, 1)): 1, (1, (1, 1)): 1, (2, (1, 1)): -1},
     )
 
 
@@ -106,27 +91,11 @@ def conifold_double(d=1) -> NumericalThreefold:
     d = Fraction(d)
     if d <= 0:
         raise ValueError("degree must be positive")
-    c = CurveClass((1,))
-    cc = CurveClass((2,))
-    n_table = {}
-    for n in (1, 2, 3):
-        n_table[(n, c)] = Fraction(1)
-        n_table[(-n, c)] = Fraction(1)
-    n_table[(4, cc)] = Fraction(-1, 4)
-    n_table[(-4, cc)] = Fraction(-1, 4)
-    p_seed = _seed_single_curve(0, 1, range(1, 4))
-    p_seed[(3, cc)] = Fraction(-2)
-    p_seed[(-3, cc)] = Fraction(0)
-    p_seed[(4, cc)] = Fraction(4)
-    p_seed[(-4, cc)] = Fraction(0)
-    return NumericalThreefold(
-        basis=(("C", d),),
-        omega_cubed=Fraction(6),
-        c2_omega=Fraction(0),
-        m_table={c: Fraction(1)},
-        n_table=n_table,
-        p_seed=p_seed,
-        name=f"conifold_double(d={d})",
+    return _conifold(
+        f"conifold_double(d={d})",
+        (("C", d),),
+        {(1, (1,)): 1, (2, (1,)): 1, (3, (1,)): 1, (4, (2,)): Fraction(-1, 4)},
+        {(1, (1,)): 1, (2, (1,)): -2, (3, (1,)): 3, (3, (2,)): -2, (4, (2,)): 4},
     )
 
 

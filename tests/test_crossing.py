@@ -308,6 +308,27 @@ def test_l_at_wall_checks_the_class_on_either_side_of_zero():
         assert l_at_wall(pair, CurveClass((0,)), 0, k0) == 1
 
 
+def test_invariant_value_reports_a_bad_class_as_an_argument_error():
+    # the class is checked when its seed lookup misses, so the error is the
+    # one l_at_wall and chamber_table give, not a missing p_seed entry
+    for model in (conifold_single(1), conifold_double(1)):
+        for beta, text in (
+            (CurveClass((-1,)), r"^\(-1\) is not effective$"),
+            (CurveClass((1, 1)), r"^class \(1,1\) has rank 2, model has rank 1$"),
+        ):
+            for k, from_right in ((F(-1), False), (F(-1, 2), True), (F(1), False)):
+                with pytest.raises(TableArgumentError, match=text):
+                    invariant_value(model, beta, 1, k, from_right)
+                with pytest.raises(TableArgumentError, match=text):
+                    l_at_wall(model, beta, 1, k)
+    # a good class without a seed is still missing model data
+    with pytest.raises(ModelDataError, match=r"^p_seed has no entry for \(n=7, beta=\(1\)\)$"):
+        invariant_value(conifold_single(1), C1_, 7, -10)
+    # the zero class keeps its delta_{n,0} short-cut, whatever its rank
+    for n, expected in ((0, 1), (2, 0)):
+        assert invariant_value(conifold_single(1), CurveClass((0, 0)), n, F(-1)) == expected
+
+
 class _SeedEverywhere(dict):
     """A p_seed table with a deterministic value for every (n, class)."""
 
