@@ -47,14 +47,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError
-from .geometry import (
-    CurveClass,
-    NumericalThreefold,
-    check_effective,
-    decompositions,
-    min_ch3,
-)
-from .walls import Chamber, chambers, is_wall, mu_threshold, next_wall_above, pt_bounds, wall_set
+from .geometry import CurveClass, NumericalThreefold, _ConeIndex, check_effective, decompositions
+from .walls import Chamber, chambers, is_wall, mu_threshold, next_wall_above, wall_set
 
 
 class WallDatum(NamedTuple):
@@ -98,15 +92,18 @@ class TableCache:
 
     * ``values[(beta, n, k, from_right)]`` -- chamber values;
     * ``reports[(beta, n, k0)]`` -- wall reports;
-    * ``splits[beta]`` -- the split table ``decompositions(model, beta)``
-      as returned, ``(beta1, deg beta1, beta2)`` in (deg beta1, coordinates)
-      order;
-    * ``m[beta2]`` -- ``min_ch3(model, beta2)``; a failing call is not stored.
+    * ``splits[beta]`` -- the split table ``decompositions(model, beta)`` as
+      returned, ``(beta1, deg beta1, beta2)`` in (deg beta1, coordinates) order;
+    * ``m[beta2]`` -- ``min_ch3(model, beta2)``, read by one bisect from the
+      integer cone index ``geometry._ConeIndex``; a failing read is not stored.
 
-    A cache binds to the first model it serves and refuses any other.
-    Entries are deterministic functions of that model, so sharing a cache
-    between threads is benign (last write wins with identical values); for a
-    strict contract, confine one cache to one thread.
+    ``splits`` and ``m`` are filled by the wall-datum fill and by the seed
+    bounds of ``chamber_table`` and ``pt_symmetry_check``.  A cache binds to
+    the first model it serves and refuses any other, so the cone index built
+    at that first bind always answers for the right model.  Entries are
+    deterministic functions of that model, but the cone index grows its lists
+    in place, so two threads growing it at once can corrupt it: confine one
+    cache to one thread.
     """
 
     def __init__(self):
@@ -118,7 +115,7 @@ class TableCache:
 
     def bind(self, model: NumericalThreefold) -> None:
         if self._model is None:
-            self._model = model
+            self._model, self._cone = model, _ConeIndex(model)
         elif self._model is not model:
             raise ValueError("a TableCache cannot be shared between models")
 
@@ -131,6 +128,26 @@ def _bound_cache(cache: Optional[TableCache], model: NumericalThreefold) -> Tabl
         cache = TableCache()
     cache.bind(model)
     return cache
+
+
+def _splits(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
+    if (splits := cache.splits.get(beta)) is None:
+        splits = cache.splits[beta] = decompositions(model, beta)
+    return splits
+
+
+def _m(beta2: CurveClass, cache: TableCache) -> Fraction:
+    if (m2 := cache.m.get(beta2)) is None:
+        m2 = cache.m[beta2] = cache._cone.m(beta2)
+    return m2
+
+
+def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fraction:
+    """``mu_threshold`` from the cached splits and m bounds, read in the same split order."""
+    if beta.is_zero():
+        raise TableArgumentError("mu threshold needs a nonzero class")
+    n = Fraction(n)
+    return max((n - _m(beta2, cache)) / deg1 for _, deg1, beta2 in _splits(model, beta, cache))
 
 
 def enumerate_wall_data(
@@ -152,18 +169,12 @@ def enumerate_wall_data(
     cache = _bound_cache(cache, model)
     k0 = Fraction(k0)
     mu = -2 * k0
-    splits = cache.splits.get(beta)
-    if splits is None:
-        splits = cache.splits[beta] = decompositions(model, beta)
     out = []
-    for beta1, deg1, beta2 in splits:
+    for beta1, deg1, beta2 in _splits(model, beta, cache):
         n1, rest = divmod(mu.numerator * deg1.numerator, mu.denominator * deg1.denominator)
         if rest:
             continue
-        n2 = n - n1
-        m2 = cache.m.get(beta2)
-        if m2 is None:
-            m2 = cache.m[beta2] = min_ch3(model, beta2)
+        n2, m2 = n - n1, _m(beta2, cache)
         if n2 >= m2 or (not beta2.is_zero() and n2 <= -m2):
             out.append(WallDatum(k0, beta1, n1, beta2, n2))
     return out
@@ -308,7 +319,7 @@ class ChamberTable(NamedTuple):
         for chamber, value in self.entries:
             if chamber.contains(k):
                 return value
-        raise ValueError(f"k = {k} is a wall or outside the tabulated interval")
+        raise TableArgumentError(f"k = {k} is a wall or outside the tabulated interval")
 
     def effective_walls(self) -> Tuple[Fraction, ...]:
         """Walls where the value actually jumps."""
@@ -349,7 +360,7 @@ def chamber_table(
     model.check_rank(beta)
     if beta.is_zero() or not beta.is_effective():
         raise TableArgumentError("chamber tables need a nonzero effective class")
-    k_pt = -mu_threshold(model, beta, n) / 2
+    k_pt = -_mu(model, beta, n, cache) / 2
     if not k_lo < k_pt:
         raise TableArgumentError(
             f"interval must start below the seed bound k_pt = {k_pt}, got k_lo = {k_lo}"
@@ -410,18 +421,14 @@ def pt_symmetry_check(
     rows = []
     coeffs: Dict[int, Fraction] = {}
     for n in range(1, n_max + 1):
-        k_pt, k_dual = pt_bounds(model, beta, n)
+        k_pt, k_dual = -_mu(model, beta, n, cache) / 2, _mu(model, beta, -n, cache) / 2
         right = (k_dual + next_wall_above(model, beta, k_dual)) / 2
         table = chamber_table(model, beta, n, k_pt - 1, right, cache)
         p_plus = table.seed
         p_minus = table.entries[-1][1]
         n_value = model.n_table.get((n, beta))
-        defect = (p_plus - p_minus) - Fraction((-1) ** (n - 1) * n) * (
-            n_value if n_value is not None else Fraction(0)
-        )
-        rows.append(
-            SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect)
-        )
+        defect = (p_plus - p_minus) - (-1) ** (n - 1) * n * (n_value or Fraction(0))
+        rows.append(SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect))
         coeffs[n] = p_plus
         coeffs[-n] = p_minus
     laurent = tuple(sorted(coeffs.items()))
@@ -442,7 +449,7 @@ def hn_sort(
     groups: Dict[Fraction, List[ChernCharacter]] = {}
     for ch in parts:
         if shape(ch) != "sheaf":
-            raise ValueError(f"hn_sort takes sheaf-type classes only, got {ch}")
+            raise TableArgumentError(f"hn_sort takes sheaf-type classes only, got {ch}")
         groups.setdefault(slope(model, ch, k), []).append(ch)
     out = []
     for mu in sorted(groups, reverse=True):

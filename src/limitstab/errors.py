@@ -17,10 +17,10 @@ class TableArgumentError(ValueError):
     """A table, wall set or slope threshold was asked for with a bad
     argument, not bad model data.
 
-    Raised for a class or a vector of the wrong rank, for a zero or
-    non-effective class where a nonzero effective one is needed, for an empty
-    interval, and for a table interval that does not start below the seed
-    bound k_pt.  A ValueError, so ``except ValueError`` still catches it.
+    Raised for a wrong-rank class or vector, a zero or non-effective class
+    where a nonzero one is needed, an empty interval, a table interval not
+    starting below k_pt, a table point on a wall or outside the table, and a
+    non-sheaf ``hn_sort`` part.  A ValueError, so ``except ValueError`` works.
     """
 
 

@@ -22,6 +22,8 @@ All arithmetic is exact rational.  No floating point enters the core.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, List, Mapping, NamedTuple, Tuple
 
@@ -193,6 +195,48 @@ def min_ch3(model: NumericalThreefold, beta: CurveClass) -> Fraction:
                 f"m_table has no entry for class {gamma} (needed for m({beta}))"
             ) from None
     return min(values)
+
+
+def _scaled_degrees(model: NumericalThreefold) -> Tuple[int, Tuple[int, ...]]:
+    """(D, D * degrees), D the lcm of the basis-degree denominators: D * deg is an int."""
+    scale = math.lcm(*(d.denominator for _, d in model.basis))
+    return scale, tuple(d.numerator * (scale // d.denominator) for _, d in model.basis)
+
+
+class _ConeIndex:
+    """``min_ch3`` of one model by one bisect, with no cone walk per class.
+
+    ``degrees`` lists D * deg of the nonzero effective classes in the order of
+    ``effective_below``, grown lazily to ``top``, the largest degree asked for.
+    ``mins`` is the running minimum of their m entries up to ``missing``, the
+    first class with none, so a bound raises only if its prefix reaches it.
+    """
+
+    def __init__(self, model: NumericalThreefold):
+        self.model, (_, self.scaled), self.top = model, _scaled_degrees(model), 0
+        self.degrees, self.mins, self.missing = [], [], None
+
+    def m(self, beta: CurveClass) -> Fraction:
+        e = sum(c * s for c, s in zip(beta.coeffs, self.scaled))
+        if e > self.top:
+            self._grow(e)
+        end = bisect_right(self.degrees, e)
+        if end > len(self.mins):
+            missing = f"m_table has no entry for class {self.missing}"
+            raise ModelDataError(f"{missing} (needed for m({beta}))")
+        return self.mins[end - 1] if end else Fraction(0)
+
+    def _grow(self, top: int) -> None:
+        box = itertools.product(*(range(top // s + 1) for s in self.scaled))
+        scaled = lambda g: sum(c * s for c, s in zip(g, self.scaled))
+        new = sorted((e, CurveClass(g)) for g in box if self.top < (e := scaled(g)) <= top)
+        for e, gamma in new:
+            self.degrees.append(e)
+            if self.missing is None and gamma not in self.model.m_table:
+                self.missing = gamma
+            elif self.missing is None:
+                self.mins.append(min([*self.mins[-1:], self.model.m_table[gamma]]))
+        self.top = top
 
 
 def decompositions(

@@ -42,11 +42,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import TableArgumentError
 from .geometry import (
-    CurveClass,
-    NumericalThreefold,
-    check_effective,
-    decompositions,
-    min_ch3,
+    CurveClass, NumericalThreefold, _scaled_degrees, check_effective, decompositions, min_ch3
 )
 
 
@@ -82,9 +78,7 @@ def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[
     if beta.is_zero():
         raise TableArgumentError("wall set needs a nonzero class")
     check_effective(model, beta)
-    degs = model.degrees
-    scale = math.lcm(*(d.denominator for d in degs))
-    scaled = [d.numerator * (scale // d.denominator) for d in degs]
+    scale, scaled = _scaled_degrees(model)
     bound = sum(c * e for c, e in zip(beta.coeffs, scaled))
     reached = {0}
     for e in scaled:

@@ -20,7 +20,14 @@ from limitstab.crossing import (
     pt_symmetry_check,
 )
 from limitstab.errors import ModelDataError, TableArgumentError
-from limitstab.geometry import CurveClass, NumericalThreefold, decompositions, degree, min_ch3
+from limitstab.geometry import (
+    CurveClass,
+    NumericalThreefold,
+    _ConeIndex,
+    decompositions,
+    degree,
+    min_ch3,
+)
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import mu_threshold, pt_bounds, wall_set
 
@@ -273,6 +280,23 @@ def test_hn_sort_examples_and_properties():
         hn_sort(single, [ch_of_sheaf(C1_, 1), ch_of_sheaf(CurveClass((0,)), 0)], 0)
 
 
+def test_hn_sort_rejects_a_non_sheaf_class_as_an_argument_error():
+    with pytest.raises(
+        TableArgumentError, match=r"^hn_sort takes sheaf-type classes only, got 0,0,\(0\),0$"
+    ):
+        hn_sort(conifold_single(1), [ch_of_sheaf(CurveClass((0,)), 0)], 0)
+
+
+def test_value_at_a_wall_or_outside_the_interval_is_an_argument_error():
+    table = chamber_table(conifold_single(1), C1_, 1, -2, 1)
+    assert table.value_at(F(-3, 4)) == 1
+    for k in (F(-1, 2), F(-2), F(5, 2)):
+        with pytest.raises(
+            TableArgumentError, match=rf"^k = {k} is a wall or outside the tabulated interval$"
+        ):
+            table.value_at(k)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     parts=st.lists(
@@ -500,10 +524,11 @@ def test_each_class_is_split_once_per_cache(monkeypatch):
     split, bounded = [], []
 
     def counted(calls, fn):
-        return lambda model, beta: calls.append(beta) or fn(model, beta)
+        return lambda owner, beta: calls.append(beta) or fn(owner, beta)
 
     monkeypatch.setattr(crossing, "decompositions", counted(split, decompositions))
-    monkeypatch.setattr(crossing, "min_ch3", counted(bounded, min_ch3))
+    # every m bound is a read of the cache's cone index
+    monkeypatch.setattr(_ConeIndex, "m", counted(bounded, _ConeIndex.m))
     cache = TableCache()
     assert chamber_table(double, C2_, 4, -2, 0, cache) == expected
     assert sorted(split) == sorted(set(split)) == sorted(cache.splits) == [C1_, C2_]
@@ -514,6 +539,85 @@ def test_each_class_is_split_once_per_cache(monkeypatch):
     before = len(split), len(bounded)
     chamber_table(double, C2_, 3, -2, 0, cache)
     assert (len(split), len(bounded)) == before
+
+
+@st.composite
+def _cone_index_cases(draw):
+    rank = draw(st.integers(1, 3))
+    degrees = [F(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(rank)]
+    deg = lambda g: sum(c * d for c, d in zip(g, degrees))
+    box = [CurveClass(g) for g in itertools.product(range(3 if rank < 3 else 2), repeat=rank)]
+    top = max(deg(g.coeffs) for g in box)
+    cone = [
+        CurveClass(g)
+        for g in itertools.product(*(range(int(top / d) + 1) for d in degrees))
+        if any(g) and deg(g) <= top
+    ]
+    m_table = {g: F(draw(st.integers(-2, 2))) for g in cone}
+    removed = draw(st.sampled_from(cone))
+    del m_table[removed]
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)), omega_cubed=F(6), m_table=m_table
+    )
+    return model, removed, draw(st.permutations(box))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_index_cases())
+def test_cone_index_bounds_equal_the_cone_walk(case):
+    model, removed, order = case
+    index = _ConeIndex(model)
+    for beta in order:  # one index, grown in the drawn order
+        outcome = _outcome(lambda: index.m(beta))
+        assert outcome == _outcome(lambda: min_ch3(model, beta))
+        if degree(model, beta) < degree(model, removed):
+            assert outcome[0] == "ok"  # the class without m data lies above beta
+    assert _outcome(lambda: index.m(removed)) == ("error", ModelDataError, (
+        f"m_table has no entry for class {removed} (needed for m({removed}))"
+    ))
+
+
+def _bounds_or_error(model, beta, ns):
+    """pt_bounds for each n in turn, up to the first error."""
+    bounds = []
+    for n in ns:
+        try:
+            bounds.append(pt_bounds(model, beta, n))
+        except (TableArgumentError, ModelDataError) as exc:
+            return bounds, ("error", type(exc), str(exc))
+    return bounds, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_cone_index_cases())
+def test_table_seed_bounds_equal_pt_bounds(case):
+    model, _, order = case
+    classes = [beta for beta in order if not beta.is_zero()]
+    cache = TableCache()
+    for beta in classes:
+        for n in (1, -2, 0, 2, -1):
+            bounds, error = _bounds_or_error(model, beta, [n])
+            # k_pt, as chamber_table states it when the interval starts above it
+            expected = error or ("error", TableArgumentError, (
+                f"interval must start below the seed bound k_pt = {bounds[0][0]}, got k_lo = 99"
+            ))
+            assert _outcome(lambda: chamber_table(model, beta, n, 99, 100, cache)) == expected
+    # pt_symmetry_check's (k_pt, k_dual) for each n, read off the calls it makes:
+    # next_wall_above(k_dual), then a table from k_pt - 1
+    seen = []
+    table = lambda model, beta, n, lo, hi, cache: seen.append(lo + 1) or crossing.ChamberTable(
+        beta, n, (lo, hi), ((None, F(0)),), ()
+    )
+    shared = TableCache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crossing, "chamber_table", table)
+        patch.setattr(crossing, "next_wall_above", lambda model, beta, k: seen.append(k) or k + 1)
+        for beta in order:  # the zero class included
+            seen.clear()
+            outcome = _outcome(lambda: pt_symmetry_check(model, beta, 3, shared))
+            bounds, error = _bounds_or_error(model, beta, [1, 2, 3])
+            assert seen == [k for k_pt, k_dual in bounds for k in (k_dual, k_pt)]
+            assert outcome[0] == "ok" if error is None else outcome == error
 
 
 @st.composite
