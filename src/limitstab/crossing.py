@@ -90,25 +90,28 @@ class TableCache:
 
     Four memo tables:
 
-    * ``values[(beta, n, k, from_right)]`` -- chamber values;
-    * ``reports[(beta, n, k0)]`` -- wall reports;
+    * ``values[(beta, n, k.numerator, k.denominator, from_right)]`` --
+      chamber values;
+    * ``reports[(beta, n, k0.numerator, k0.denominator)]`` -- wall reports;
     * ``splits[beta]`` -- the split table ``decompositions(model, beta)`` as
       returned, ``(beta1, deg beta1, beta2)`` in (deg beta1, coordinates) order;
     * ``m[beta2]`` -- ``min_ch3(model, beta2)``, read by one bisect from the
       integer cone index ``geometry._ConeIndex``; a failing read is not stored.
 
-    ``splits`` and ``m`` are filled by the wall-datum fill and by the seed
-    bounds of ``chamber_table`` and ``pt_symmetry_check``.  A cache binds to
-    the first model it serves and refuses any other, so the cone index built
-    at that first bind always answers for the right model.  Entries are
-    deterministic functions of that model, but the cone index grows its lists
-    in place, so two threads growing it at once can corrupt it: confine one
-    cache to one thread.
+    The point keys hold ints only, so a hit in ``values`` or ``reports`` is
+    one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
+    key starts with the (beta, n) it belongs to.  ``splits`` and ``m`` are
+    filled by the wall-datum fill and by the seed bounds of ``chamber_table``
+    and ``pt_symmetry_check``.  A cache binds to the first model it serves
+    and refuses any other, so the cone index built at that first bind always
+    answers for the right model.  Entries are deterministic functions of that
+    model, but the cone index grows its lists in place, so two threads
+    growing it at once can corrupt it: confine one cache to one thread.
     """
 
     def __init__(self):
-        self.values: Dict[Tuple[CurveClass, int, Fraction, bool], Fraction] = {}
-        self.reports: Dict[Tuple[CurveClass, int, Fraction], WallReport] = {}
+        self.values: Dict[Tuple[CurveClass, int, int, int, bool], Fraction] = {}
+        self.reports: Dict[Tuple[CurveClass, int, int, int], WallReport] = {}
         self.splits: Dict[CurveClass, Tuple[Tuple[CurveClass, Fraction, CurveClass], ...]] = {}
         self.m: Dict[CurveClass, Fraction] = {}
         self._model: Optional[NumericalThreefold] = None
@@ -128,6 +131,11 @@ def _bound_cache(cache: Optional[TableCache], model: NumericalThreefold) -> Tabl
         cache = TableCache()
     cache.bind(model)
     return cache
+
+
+def _as_fraction(x) -> Fraction:
+    """``x`` as a Fraction, converted only when it is not one already."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _splits(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
@@ -167,7 +175,7 @@ def enumerate_wall_data(
     come from the cache's memo tables.
     """
     cache = _bound_cache(cache, model)
-    k0 = Fraction(k0)
+    k0 = _as_fraction(k0)
     mu = -2 * k0
     out = []
     for beta1, deg1, beta2 in _splits(model, beta, cache):
@@ -199,8 +207,8 @@ def l_at_wall(
     # the zero class skips the check; a bad class fails before its seed lookup
     if not beta2.is_zero():
         check_effective(model, beta2)
-    k0 = Fraction(k0)
-    return _chamber_value(model, beta2, n2, k0, k0 <= 0, cache)
+    k0 = _as_fraction(k0)
+    return _chamber_value(model, beta2, n2, k0, k0.numerator <= 0, cache)
 
 
 def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
@@ -229,9 +237,9 @@ def _chamber_value(
     wanted.  Walls below k_pt carry no admissible data with a nonzero jump
     (the seed law), so starting the march at k_pt is exact.
     """
-    key = (beta, n, k, from_right)
-    if key in cache.values:
-        return cache.values[key]
+    key = (beta, n, k.numerator, k.denominator, from_right)
+    if (value := cache.values.get(key)) is not None:
+        return value
     if beta.is_zero():
         return Fraction(1) if n == 0 else Fraction(0)
     value = _seed(model, beta, n)
@@ -256,9 +264,9 @@ def _wall_total(
     k0: Fraction,
     cache: TableCache,
 ) -> WallReport:
-    key = (beta, n, k0)
-    if key in cache.reports:
-        return cache.reports[key]
+    key = (beta, n, k0.numerator, k0.denominator)
+    if (report := cache.reports.get(key)) is not None:
+        return report
     terms = []
     for datum in enumerate_wall_data(model, beta, n, k0, cache):
         coeff = datum.coefficient
@@ -284,7 +292,7 @@ def invariant_value(
 ) -> Fraction:
     """Chamber value of L(beta, n) at k; the side matters only on a wall."""
     cache = _bound_cache(cache, model)
-    return _chamber_value(model, beta, n, Fraction(k), from_right, cache)
+    return _chamber_value(model, beta, n, _as_fraction(k), from_right, cache)
 
 
 def cross_wall(
@@ -297,8 +305,8 @@ def cross_wall(
 ) -> Tuple[Fraction, WallReport]:
     """Apply the jump law at k0 to the left-chamber value; returns (L_plus, report)."""
     cache = _bound_cache(cache, model)
-    report = _wall_total(model, beta, n, Fraction(k0), cache)
-    return Fraction(l_minus) - report.total, report
+    report = _wall_total(model, beta, n, _as_fraction(k0), cache)
+    return _as_fraction(l_minus) - report.total, report
 
 
 class ChamberTable(NamedTuple):
@@ -356,7 +364,7 @@ def chamber_table(
     the recursion are memoized in the cache.
     """
     cache = _bound_cache(cache, model)
-    k_lo, k_hi = Fraction(k_lo), Fraction(k_hi)
+    k_lo, k_hi = _as_fraction(k_lo), _as_fraction(k_hi)
     model.check_rank(beta)
     if beta.is_zero() or not beta.is_effective():
         raise TableArgumentError("chamber tables need a nonzero effective class")

@@ -716,3 +716,72 @@ def test_double_preset_counts_are_linearized_wall_coefficients():
     n_table = conifold_double(1).n_table
     assert n_table[(4, C2_)] == n_table[(-4, C2_)] == F(-1, 4)
     assert (2, C2_) not in n_table and (-2, C2_) not in n_table
+
+
+def _count_fraction_work(monkeypatch):
+    """Count calls of Fraction's constructor, hash and equality from now on."""
+    counts = {"__new__": 0, "__hash__": 0, "__eq__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
+    for name in ("__hash__", "__eq__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    return counts
+
+
+def test_a_memo_hit_does_no_fraction_work(monkeypatch):
+    double, cache = conifold_double(1), TableCache()
+    at, wall, right, one = F(-7, 8), F(-1), F(1, 2), F(1)
+    calls = [
+        lambda: invariant_value(double, C2_, 4, at, cache=cache),
+        lambda: invariant_value(double, C2_, 4, wall, True, cache),
+        lambda: l_at_wall(double, C2_, 4, wall, cache),
+        lambda: l_at_wall(double, C1_, 2, right, cache),
+    ]
+    warm = [call() for call in calls]
+    l_plus, report = cross_wall(double, C2_, 4, wall, one, cache)
+    counts = _count_fraction_work(monkeypatch)
+    assert [call() for call in calls] == warm
+    assert counts == {"__new__": 0, "__hash__": 0, "__eq__": 0}
+    # the result l_minus - total is one new Fraction; nothing else is built
+    again = cross_wall(double, C2_, 4, wall, one, cache)
+    assert counts["__new__"] <= 1 and (counts["__hash__"], counts["__eq__"]) == (0, 0)
+    assert again[1] is report and again[0] == l_plus
+
+
+def test_every_spelling_of_k_reads_one_memo_entry():
+    double, cache = conifold_double(1), TableCache()
+    spellings = [-1, F(-1), F(-2, 2), "-1", -1.0]
+    values, sizes = [], []
+    for k in spellings:
+        values.append(invariant_value(double, C2_, 4, k, cache=cache))
+        sizes.append(len(cache.values))
+    assert len(set(values)) == 1 and len(set(sizes)) == 1
+    data = enumerate_wall_data(double, C2_, 4, -1)
+    assert data and all(type(d.k0) is Fraction for d in data)
+    l_plus, report = cross_wall(double, C2_, 4, -1, 1)
+    assert type(report.k0) is Fraction and type(l_plus) is Fraction
+    assert (l_plus, report) == cross_wall(double, C2_, 4, F(-1), F(1))
+
+
+def test_every_memo_key_starts_with_its_class_and_n():
+    # perfbench's lazy seed derivation drops the stale entries of one (beta, n)
+    # by the first two items of each key
+    double, cache = conifold_double(1), TableCache()
+    chamber_table(double, C2_, 4, -2, 0, cache)
+    for k in (F(-7, 8), F(-1), F(-1, 3), F(1, 4)):
+        invariant_value(double, C2_, 3, k, cache=cache)
+        invariant_value(double, C1_, 1, k, True, cache)
+    marched = {(C1_, 1), (C1_, 2), (C1_, 3), (C2_, 3)}
+    assert {key[:2] for key in cache.values} == marched
+    assert {key[:2] for key in cache.reports} == marched | {(C2_, 4)}
+    for (beta, n, num, den, from_right), value in cache.values.items():
+        assert value == invariant_value(double, beta, n, F(num, den), from_right)
+    for (beta, n, num, den), report in cache.reports.items():
+        assert report.k0 == F(num, den)
+        assert report == cross_wall(double, beta, n, F(num, den), F(0))[1]
