@@ -204,9 +204,6 @@ def l_at_wall(
     the wall set both sides are the same chamber.
     """
     cache = _bound_cache(cache, model)
-    # the zero class skips the check; a bad class fails before its seed lookup
-    if not beta2.is_zero():
-        check_effective(model, beta2)
     k0 = _as_fraction(k0)
     return _chamber_value(model, beta2, n2, k0, k0.numerator <= 0, cache)
 
@@ -215,8 +212,6 @@ def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
     try:
         return model.p_seed[(n, beta)]
     except KeyError:
-        # a bad class is an argument error; checked on a miss only, off the memo-hit path
-        check_effective(model, beta)
         raise ModelDataError(
             f"p_seed has no entry for (n={n}, beta={beta})"
         ) from None
@@ -242,6 +237,8 @@ def _chamber_value(
         return value
     if beta.is_zero():
         return Fraction(1) if n == 0 else Fraction(0)
+    # a bad class is an argument error before its seed lookup; checked on a miss only
+    check_effective(model, beta)
     value = _seed(model, beta, n)
     k_pt = -mu_threshold(model, beta, n) / 2
     if k > k_pt:

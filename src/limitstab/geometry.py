@@ -50,7 +50,7 @@ class CurveClass(_CurveClassFields):
         return len(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -109,13 +109,13 @@ class NumericalThreefold(_ModelFields):
         if omega_cubed <= 0:
             raise ValueError("omega_cubed must be > 0")
         for gamma in m_table:
-            if gamma.is_zero():
+            if not any(gamma.coeffs):
                 raise ValueError("m(0) = 0 is a convention, never stored")
-            if gamma.rank != len(basis):
+            if len(gamma.coeffs) != len(basis):
                 raise ValueError(f"m_table class {gamma} has wrong rank")
         for table, label in ((n_table, "n_table"), (p_seed, "p_seed")):
             for n, gamma in table:
-                if gamma.rank != len(basis):
+                if len(gamma.coeffs) != len(basis):
                     raise ValueError(f"{label} class {gamma} has wrong rank")
         return super().__new__(cls, basis, omega_cubed, c2_omega, m_table, n_table, p_seed, name)
 
@@ -245,13 +245,16 @@ def decompositions(
     """The split table: (beta1, deg beta1, beta2) for every ordered effective
     splitting beta = beta1 + beta2 with beta1 != 0; beta2 = 0 is allowed.
 
-    Sorted by (deg beta1, coordinates of beta1); each degree is computed once.
+    Sorted by (deg beta1, coordinates of beta1).  Each split's degree is
+    summed once from the scaled integer degrees of ``_scaled_degrees`` and
+    divided by D once.
     """
     check_effective(model, beta)
-    splits = []
-    for coeffs in itertools.product(*(range(c + 1) for c in beta.coeffs)):
-        beta1 = CurveClass(coeffs)
-        if not beta1.is_zero():
-            splits.append((beta1, degree(model, beta1), beta - beta1))
-    splits.sort(key=lambda s: (s[1], s[0]))  # a class orders as its coordinates
-    return tuple(splits)
+    scale, scaled = _scaled_degrees(model)
+    box = itertools.product(*(range(c + 1) for c in beta.coeffs))
+    # an int degree orders as the Fraction degree, and a class as its coordinates
+    splits = sorted((sum(c * s for c, s in zip(g, scaled)), g) for g in box if any(g))
+    return tuple(
+        (CurveClass(g), Fraction(e, scale), CurveClass(b - c for b, c in zip(beta.coeffs, g)))
+        for e, g in splits
+    )

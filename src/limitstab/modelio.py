@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .errors import ModelParseError
 from .geometry import CurveClass, NumericalThreefold
@@ -67,10 +67,9 @@ def parse_class(text: str, line: int | None = None) -> CurveClass:
     if text == "":
         raise ModelParseError("empty class tuple", line)
     try:
-        coeffs = tuple(int(p.strip()) for p in text.split(","))
+        return CurveClass(map(int, text.split(",")))
     except ValueError:
         raise ModelParseError(f"malformed class tuple {text!r}", line) from None
-    return CurveClass(coeffs)
 
 
 def _duplicate(section: Optional[str], key, line: int, first: int) -> ModelParseError:
@@ -85,18 +84,16 @@ def _duplicate(section: Optional[str], key, line: int, first: int) -> ModelParse
     return ModelParseError(f"duplicate {what} (first given on line {first})", line)
 
 
-def parse_model(text: str, name: str = "custom") -> NumericalThreefold:
-    """Read model-file text in one pass over its lines.
+def _read(text: str, tables: Dict[Optional[str], dict]) -> Optional[tuple]:
+    """Write each entry line of ``text`` once into its table in ``tables``.
 
-    Each distinct class text and value text is converted once per call.  A
-    repeated top-level key, basis name, m class or (n, class) entry is an
-    error naming both lines.
+    Each distinct class text and value text is converted once per call.
+    Stops at the first entry whose key its table already holds and returns
+    (section, key, line number); returns None when there is none.
     """
-    tables: Dict[Optional[str], dict] = {s: {} for s in (None,) + _SECTIONS}
-    first_line: Dict[Tuple[Optional[str], object], int] = {}
     classes: Dict[str, CurveClass] = {}
     values: Dict[str, Fraction] = {}
-    section, target = None, tables[None]
+    section, seeded, target = None, False, tables[None]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
@@ -105,7 +102,7 @@ def parse_model(text: str, name: str = "custom") -> NumericalThreefold:
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise ModelParseError(f"unknown section [{section}]", lineno)
-            target = tables[section]
+            seeded, target = section in ("n_table", "p_seed"), tables[section]
             continue
         key, eq, value = line.partition("=")
         if not eq:
@@ -116,26 +113,42 @@ def parse_model(text: str, name: str = "custom") -> NumericalThreefold:
                 raise ModelParseError(f"unknown top-level key {key!r}", lineno)
         elif section != "basis":
             n, class_text = None, key
-            if section != "m_table":
+            if seeded:
                 m = _SEEDED_KEY.fullmatch(key)
                 if not m:
                     raise ModelParseError(
                         f"expected 'n (class) = value' in [{section}], got {line!r}",
                         lineno,
                     )
-                n, class_text = int(m.group(1)), m.group(2)
+                n, class_text = int(m[1]), m[2]
             gamma = classes.get(class_text)
             if gamma is None:
                 gamma = classes[class_text] = parse_class(class_text, lineno)
             key = gamma if n is None else (n, gamma)
-        first = first_line.setdefault((section, key), lineno)
-        if first != lineno:
-            raise _duplicate(section, key, lineno, first)
-        value = value.strip()
+        # tested before the value is read, so a repeat is named before its value
+        if key in target:
+            return section, key, lineno
         number = values.get(value)
         if number is None:
             number = values[value] = parse_rational(value, lineno)
         target[key] = number
+    return None
+
+
+def parse_model(text: str, name: str = "custom") -> NumericalThreefold:
+    """Read model-file text in one pass over its lines.
+
+    A repeated top-level key, basis name, m class or (n, class) entry is an
+    error naming both lines.  Only then is the text read again, with the
+    repeated key given in advance, so that the read stops at its first line.
+    """
+    tables: Dict[Optional[str], dict] = {s: {} for s in (None,) + _SECTIONS}
+    repeat = _read(text, tables)
+    if repeat is not None:
+        section, key, line = repeat
+        tables = {s: {} for s in (None,) + _SECTIONS}
+        tables[section][key] = None
+        raise _duplicate(section, key, line, _read(text, tables)[2])
     scalars = tables[None]
     if "omega_cubed" not in scalars:
         raise ModelParseError("model is missing omega_cubed")

@@ -333,9 +333,12 @@ def test_l_at_wall_checks_the_class_on_either_side_of_zero():
 
 
 def test_invariant_value_reports_a_bad_class_as_an_argument_error():
-    # the class is checked when its seed lookup misses, so the error is the
-    # one l_at_wall and chamber_table give, not a missing p_seed entry
-    for model in (conifold_single(1), conifold_double(1)):
+    # the class is checked on a memo miss before its seed lookup, so the error
+    # is the one chamber_table gives, not a missing p_seed entry; the model
+    # checks only the rank of a seed class, so a seeded bad class fails alike
+    seeded = conifold_single(1)
+    seeded = seeded._replace(p_seed={**seeded.p_seed, (1, CurveClass((-1,))): F(1)})
+    for model in (conifold_single(1), conifold_double(1), seeded):
         for beta, text in (
             (CurveClass((-1,)), r"^\(-1\) is not effective$"),
             (CurveClass((1, 1)), r"^class \(1,1\) has rank 2, model has rank 1$"),
@@ -746,8 +749,12 @@ def test_a_memo_hit_does_no_fraction_work(monkeypatch):
     warm = [call() for call in calls]
     l_plus, report = cross_wall(double, C2_, 4, wall, one, cache)
     counts = _count_fraction_work(monkeypatch)
+    # the argument check runs on a memo miss only
+    checks = []
+    monkeypatch.setattr(crossing, "check_effective", lambda *args: checks.append(args))
     assert [call() for call in calls] == warm
     assert counts == {"__new__": 0, "__hash__": 0, "__eq__": 0}
+    assert checks == []
     # the result l_minus - total is one new Fraction; nothing else is built
     again = cross_wall(double, C2_, 4, wall, one, cache)
     assert counts["__new__"] <= 1 and (counts["__hash__"], counts["__eq__"]) == (0, 0)

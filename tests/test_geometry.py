@@ -225,6 +225,22 @@ def test_effective_below_computes_each_degree_once(monkeypatch):
         assert calls == [beta] + [CurveClass(g) for g in box]
 
 
+def test_decompositions_make_no_degree_call(monkeypatch):
+    # the split degrees come from the scaled integer degrees, one Fraction each
+    calls = []
+    monkeypatch.setattr(geometry, "degree", lambda model, gamma: calls.append(gamma))
+    rank3 = NumericalThreefold(
+        basis=(("A", F(1, 2)), ("B", F(3, 4)), ("C", F(2))), omega_cubed=F(1)
+    )
+    for model, beta in (
+        (conifold_single(1), CurveClass((3,))),
+        (conifold_pair(3, 2), CurveClass((1, 1))),
+        (rank3, CurveClass((2, 1, 1))),
+    ):
+        assert decompositions(model, beta)
+    assert calls == []
+
+
 def test_model_validation():
     with pytest.raises(ValueError, match="degree.*> 0"):
         NumericalThreefold(basis=(("C", F(0)),), omega_cubed=F(6))
@@ -291,6 +307,14 @@ def test_value_types_are_immutable_named_tuples():
               n_table={(1, CurveClass((1, 1))): 1})),
         (r"p_seed class \(1,1\) has wrong rank",
          dict(basis=[("C", 1)], omega_cubed=1, p_seed={(1, CurveClass((1, 1))): 1})),
+        (r"n_table class \(1,1\) has wrong rank",
+         dict(basis=[("C", 1)], omega_cubed=1, n_table={(1, CurveClass((1, 1))): 1})),
+        # the zero test comes before the rank test, and n_table before p_seed
+        (r"m\(0\) = 0 is a convention, never stored",
+         dict(basis=[("C", 1)], omega_cubed=1, m_table={CurveClass((0, 0)): 1})),
+        (r"n_table class \(2,1\) has wrong rank",
+         dict(basis=[("C", 1)], omega_cubed=1, n_table={(1, CurveClass((2, 1))): 1},
+              p_seed={(1, CurveClass((1, 1))): 1})),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NumericalThreefold(**kwargs)

@@ -102,6 +102,9 @@ _LINE_ERRORS = [
     (HEAD + "[m_table]\n(1) = 1\n[p_seed]\n1 (1) = 1\n2 (1,) = 1\n", 8,
      "malformed class tuple"),
     (HEAD + "[m_table]\n(1) = 1\n(1) = 5\n", 6, "duplicate m_table class"),
+    # a repeat is named before its value is read
+    (HEAD + "[m_table]\n(1) = 1\n(1) = x\n", 6, "duplicate m_table class"),
+    (HEAD + "[n_table]\n1 (1) = 1\n1 (1) = 1/0\n", 6, "duplicate n_table entry"),
 ]
 
 
