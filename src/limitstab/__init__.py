@@ -7,7 +7,6 @@ counting invariants bit-exactly.
 """
 
 from .charge import (
-    ChargePolynomial,
     ChernCharacter,
     POINT_SLOPE,
     PointSlope,
@@ -15,7 +14,6 @@ from .charge import (
     ch_of_pair,
     ch_of_points,
     ch_of_sheaf,
-    charge_polynomial,
     dual,
     slope,
     twisted_invariants,
@@ -24,6 +22,7 @@ from .comparator import (
     PhaseOrder,
     compare_phases,
     compare_phases_closed,
+    cross_leading_term,
     destabilizing_threshold,
     phase_limit,
 )
@@ -55,7 +54,6 @@ from .walls import Chamber, WallSet, chambers, mu_threshold, pt_bounds, wall_set
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChargePolynomial",
     "ChernCharacter",
     "POINT_SLOPE",
     "PointSlope",
@@ -63,13 +61,13 @@ __all__ = [
     "ch_of_pair",
     "ch_of_points",
     "ch_of_sheaf",
-    "charge_polynomial",
     "dual",
     "slope",
     "twisted_invariants",
     "PhaseOrder",
     "compare_phases",
     "compare_phases_closed",
+    "cross_leading_term",
     "destabilizing_threshold",
     "phase_limit",
     "ChamberTable",

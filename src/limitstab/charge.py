@@ -1,4 +1,4 @@
-"""Chern-character arithmetic and the central charge as a polynomial in m.
+"""Chern-character arithmetic and the twisted scalars of the central charge.
 
 Classes are scalar-reduced: since the twist direction is locked to the ample
 ray, a class is determined for our purposes by
@@ -10,11 +10,13 @@ ray, a class is determined for our purposes by
 
 For the twist B = k * omega the square-root Todd correction of a Calabi-Yau
 3-fold is (1, 0, c2/24, 0), so only the scalar c2_omega enters.  The four
-scalars (v0, w1, w2, v3) below determine the central charge completely:
+scalars (v0, w1, w2, v3) below determine the central charge, a polynomial
+in m, completely:
 
     Z(m) = (-v3 + w1 * m^2 / 2)  +  i * (w2 * m - omega^3 * v0 * m^3 / 6).
 
-Everything is exact rational.
+``comparator`` reads the phase order straight from these scalars; nothing
+multiplies Z out.  Everything is exact rational.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from . import poly
 from .errors import TableArgumentError
 from .geometry import CurveClass, NumericalThreefold
-from .poly import Poly
 
 
 class _ChernFields(NamedTuple):
@@ -164,34 +164,6 @@ def twisted_invariants(
     w2 = deg - k * c * w3 + k2 / 2 * r * w3 + r * c2w / 24
     v3 = ch.n - k * deg + k2 / 2 * c * w3 - k3 / 6 * r * w3 + c_twisted * c2w / 24
     return TwistedInvariants(r, w1, w2, v3)
-
-
-class ChargePolynomial(NamedTuple):
-    """Real and imaginary parts of the central charge, as polynomials in m.
-
-    deg(re) <= 2 and deg(im) <= 3, always.
-    """
-
-    re: Poly
-    im: Poly
-
-    def evaluate(self, m) -> Tuple[Fraction, Fraction]:
-        return poly.evaluate(self.re, m), poly.evaluate(self.im, m)
-
-    def __add__(self, other: "ChargePolynomial") -> "ChargePolynomial":
-        return ChargePolynomial(
-            poly.add(self.re, other.re), poly.add(self.im, other.im)
-        )
-
-
-def charge_polynomial(
-    model: NumericalThreefold, ch: ChernCharacter, k
-) -> ChargePolynomial:
-    """Z(m) = (-v3 + w1 m^2/2) + i (w2 m - omega^3 v0 m^3/6) for B = k*omega."""
-    t = twisted_invariants(model, ch, k)
-    re = poly.poly([-t.v3, 0, Fraction(t.w1, 2)])
-    im = poly.poly([0, t.w2, 0, -Fraction(model.omega_cubed * t.v0, 6)])
-    return ChargePolynomial(re, im)
 
 
 def dual(ch: ChernCharacter) -> ChernCharacter:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .charge import ChernCharacter, shape, slope, twisted_invariants, untwisted_slope
-from .comparator import compare_phases, compare_phases_closed, cross_polynomial
+from .comparator import compare_phases, compare_phases_closed, cross_leading_term
 from .crossing import (
     TableCache,
     chamber_table,
@@ -30,7 +30,6 @@ from .crossing import (
 from .errors import LimitStabError, TableArgumentError
 from .geometry import check_effective
 from .modelio import format_rational, load_model, parse_class, parse_rational
-from .poly import degree as poly_degree, leading
 from .presets import PRESET_NAMES, build_preset
 from .render import render_report, render_svg, render_text
 from .verify import run_verification
@@ -135,10 +134,10 @@ def _cmd_compare(model, args, out):
                 f"{label} class {ch} has rank {len(ch.gamma)}, model has rank {model.rank}"
             )
     order = compare_phases(model, ch_f, ch_e, k)
-    w = cross_polynomial(model, ch_f, ch_e, k)
+    w_degree, w_leading = cross_leading_term(model, ch_f, ch_e, k)
     out.write(f"order\t{order.name.capitalize()}\n")
-    out.write(f"W_degree\t{poly_degree(w)}\n")
-    out.write(f"W_leading\t{format_rational(leading(w))}\n")
+    out.write(f"W_degree\t{w_degree}\n")
+    out.write(f"W_leading\t{format_rational(w_leading)}\n")
     if shape(ch_f) in ("sheaf", "point") and shape(ch_e) == "pair":
         closed = compare_phases_closed(model, ch_f, ch_e, k)
         out.write(f"closed_order\t{closed.name.capitalize()}\n")

@@ -10,9 +10,11 @@ at, or above the phase of E:
   |Z_E||Z_F| sin(pi*(phi_E - phi_F)) = W(m).  With
   Z = (-v3 + w1 m^2/2) + i(w2 m - omega^3 v0 m^3/6), W has only odd powers
   of m and each coefficient is a 2x2 minor of the two classes' twisted
-  scalars, so the first nonzero of three minors decides, with no polynomial
-  product.  ``cross_polynomial`` still forms W itself, for ``limitstab
-  compare`` and as an independent pointwise check.
+  scalars.  The m^5 coefficient is omega^3/12 times the minor
+  v0_F w1_E - w1_F v0_E = omega^3 (r_F c_E - c_F r_E), which vanishes because
+  every in-scope shape has c = 0.  So ``cross_leading_term`` reads W's
+  leading term from the m^3 and m minors, with no polynomial product, and
+  ``limitstab compare`` prints the same term.
 * ``compare_phases_closed`` is the closed-form route for a sheaf- or
   point-type F against a pair-type E: an inequality between the twisted
   slope of F and -2k, with a tie-break on the linear charge data of E.
@@ -25,18 +27,16 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from typing import Tuple
 
-from . import poly
 from .charge import (
     ChernCharacter,
-    charge_polynomial,
     shape,
     slope,
     twisted_invariants,
     untwisted_slope,
 )
 from .geometry import NumericalThreefold
-from .poly import Poly
 
 
 class PhaseOrder(enum.Enum):
@@ -55,35 +55,33 @@ def _require_in_scope(ch: ChernCharacter, label: str) -> str:
     return s
 
 
-def cross_polynomial(
+def cross_leading_term(
     model: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k
-) -> Poly:
-    """W(m) = re_F(m) im_E(m) - im_F(m) re_E(m); positive for large m iff F precedes E."""
-    zf = charge_polynomial(model, ch_f, k)
-    ze = charge_polynomial(model, ch_e, k)
-    return poly.sub(poly.mul(zf.re, ze.im), poly.mul(zf.im, ze.re))
+) -> Tuple[int, Fraction]:
+    """(degree, leading coefficient) of W(m); (-1, 0) when W vanishes.
 
-
-def compare_phases(
-    model: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k
-) -> PhaseOrder:
-    """Asymptotic order of phases: the sign of the leading coefficient of W.
-
-    The coefficients of m^5, m^3 and m of W, the first with its positive
-    factor omega^3/12 dropped, are tried in that order.
+    W is positive for large m iff F precedes E.  The m^3 minor is tried
+    first and the m minor only when it is 0.
     """
     _require_in_scope(ch_f, "F")
     _require_in_scope(ch_e, "E")
     f = twisted_invariants(model, ch_f, k)
     e = twisted_invariants(model, ch_e, k)
-    lead = (
-        f.v0 * e.w1 - f.w1 * e.v0  # m^5
-        or (
-            model.omega_cubed / 6 * (f.v3 * e.v0 - f.v0 * e.v3)
-            + (f.w1 * e.w2 - f.w2 * e.w1) / 2
-        )  # m^3
-        or f.w2 * e.v3 - f.v3 * e.w2  # m^1
+    m3 = (
+        model.omega_cubed / 6 * (f.v3 * e.v0 - f.v0 * e.v3)
+        + (f.w1 * e.w2 - f.w2 * e.w1) / 2
     )
+    if m3:
+        return 3, m3
+    m1 = f.w2 * e.v3 - f.v3 * e.w2
+    return (1 if m1 else -1), m1
+
+
+def compare_phases(
+    model: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k
+) -> PhaseOrder:
+    """Asymptotic order of phases: the sign of the leading coefficient of W."""
+    lead = cross_leading_term(model, ch_f, ch_e, k)[1]
     if lead > 0:
         return PhaseOrder.PRECEDES
     if lead < 0:

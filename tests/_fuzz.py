@@ -1,12 +1,33 @@
-"""Seeded random generators shared by the comparator tests and the acceptance suite."""
+"""Seeded random generators shared by the comparator tests and the acceptance suite,
+and a pointwise central charge as their oracle for the comparator."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from limitstab.charge import ChernCharacter, ch_of_pair, ch_of_points, ch_of_sheaf, untwisted_slope
+from limitstab.charge import (
+    ChernCharacter,
+    ch_of_pair,
+    ch_of_points,
+    ch_of_sheaf,
+    twisted_invariants,
+    untwisted_slope,
+)
 from limitstab.geometry import CurveClass, NumericalThreefold
+
+
+def central_charge(model: NumericalThreefold, ch: ChernCharacter, k, m):
+    """(re, im) of Z(m) = (-v3 + w1 m^2/2) + i (w2 m - omega^3 v0 m^3/6)."""
+    t = twisted_invariants(model, ch, k)
+    return -t.v3 + t.w1 * m * m / 2, t.w2 * m - model.omega_cubed * t.v0 * m**3 / 6
+
+
+def cross_value(model: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k, m):
+    """W(m) = re_F im_E - im_F re_E, positive for large m iff F precedes E."""
+    re_f, im_f = central_charge(model, ch_f, k, m)
+    re_e, im_e = central_charge(model, ch_e, k, m)
+    return re_f * im_e - im_f * re_e
 
 
 def random_model(rng: random.Random) -> NumericalThreefold:

@@ -10,14 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from limitstab import poly
-from limitstab.charge import charge_polynomial, ch_of_sheaf, untwisted_slope
-from limitstab.comparator import (
-    PhaseOrder,
-    compare_phases,
-    compare_phases_closed,
-    cross_polynomial,
-)
+from limitstab.charge import ch_of_sheaf, untwisted_slope
+from limitstab.comparator import PhaseOrder, compare_phases, compare_phases_closed
 from limitstab.crossing import (
     TableCache,
     chamber_table,
@@ -28,7 +22,13 @@ from limitstab.crossing import (
 from limitstab.geometry import CurveClass
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 
-from _fuzz import comparator_case, random_in_scope_class, random_model
+from _fuzz import (
+    central_charge,
+    comparator_case,
+    cross_value,
+    random_in_scope_class,
+    random_model,
+)
 
 F = Fraction
 C1_ = CurveClass((1,))
@@ -107,7 +107,7 @@ def test_criterion_06_comparator_oracle_equivalence():
             mismatches += 1
             continue
         if order is not PhaseOrder.EQUAL:
-            w = poly.evaluate(cross_polynomial(model, ch_f, ch_e, k), 10**6)
+            w = cross_value(model, ch_f, ch_e, k, 10**6)
             if (w > 0) != (order is PhaseOrder.PRECEDES):
                 mismatches += 1
     assert mismatches == 0
@@ -158,8 +158,7 @@ def test_criterion_09_phase_window():
         model = random_model(rng)
         ch = random_in_scope_class(model, rng)
         k = F(rng.randint(-24, 24), rng.randint(1, 12))
-        z = charge_polynomial(model, ch, k)
-        re, im = z.evaluate(10**6)
+        re, im = central_charge(model, ch, k, 10**6)
         # arg in (pi/4, 5pi/4) is the open half-plane Im(z * e^{-i pi/4}) > 0,
         # i.e. exactly im > re; exact sign test, no floats
         if not im > re:

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitstab import poly
 from limitstab.charge import (
     POINT_SLOPE,
     ChernCharacter,
@@ -11,7 +10,6 @@ from limitstab.charge import (
     ch_of_pair,
     ch_of_points,
     ch_of_sheaf,
-    charge_polynomial,
     dual,
     shape,
     slope,
@@ -119,28 +117,14 @@ def test_ch_of_pair_rejects_a_non_effective_class():
 
 
 def test_charge_polynomial_examples():
+    """The scalars give Z(m) = (-v3 + w1 m^2/2) + i (w2 m - omega^3 v0 m^3/6)."""
     X = model(6, 0)
-    zp = charge_polynomial(X, ch_of_points(1, 1), F(5, 7))
-    assert zp.re == poly.poly([-1]) and zp.im == ()
-    zf = charge_polynomial(X, ch_of_sheaf(CurveClass((1,)), 1), 0)
-    assert zf.re == poly.poly([-1]) and zf.im == poly.poly([0, 1])
-    ze = charge_polynomial(X, ch_of_pair(CurveClass((1,)), 1), 0)
-    assert ze.re == poly.poly([-1]) and ze.im == poly.poly([0, 1, 0, 1])
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    r=st.integers(-2, 2),
-    c=st.integers(-3, 3),
-    g=st.tuples(rational, rational),
-    n=rational,
-    k=rational,
-)
-def test_charge_polynomial_degree_bounds(r, c, g, n, k):
-    X = model(6, 4, degrees=(1, 3))
-    z = charge_polynomial(X, ChernCharacter(F(r), F(c), g, n), k)
-    assert poly.degree(z.re) <= 2
-    assert poly.degree(z.im) <= 3
+    # a point: Z = -1
+    assert twisted_invariants(X, ch_of_points(1, 1), F(5, 7)) == (0, 0, 0, 1)
+    # a sheaf: Z = -1 + i m
+    assert twisted_invariants(X, ch_of_sheaf(CurveClass((1,)), 1), 0) == (0, 0, 1, 1)
+    # a pair: Z = -1 + i (m + m^3)
+    assert twisted_invariants(X, ch_of_pair(CurveClass((1,)), 1), 0) == (-1, 0, 1, 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,12 +136,12 @@ def test_charge_polynomial_degree_bounds(r, c, g, n, k):
     k=rational,
 )
 def test_charge_polynomial_is_additive(n1, n2, g1, g2, k):
+    """The scalars, and so Z(m), add over a sum of classes."""
     X = model(6, 2)
     a = ChernCharacter(F(-1), F(0), g1, n1)
     b = ChernCharacter(F(0), F(0), g2, n2)
-    direct = charge_polynomial(X, a + b, k)
-    summed = charge_polynomial(X, a, k) + charge_polynomial(X, b, k)
-    assert direct.re == summed.re and direct.im == summed.im
+    summed = zip(twisted_invariants(X, a, k), twisted_invariants(X, b, k))
+    assert twisted_invariants(X, a + b, k) == tuple(x + y for x, y in summed)
 
 
 def test_dual_is_an_involution_and_flips_n():
@@ -177,13 +161,12 @@ def test_dual_is_an_involution_and_flips_n():
     k=rational,
 )
 def test_dual_charge_is_minus_conjugate(r, c, g, n, k):
-    """Z at (-k) of the dual class equals -conj(Z at k): re flips, im stays."""
+    """Z at (-k) of the dual class equals -conj(Z at k): re flips, im stays,
+    so w1 and v3 change sign while v0 and w2 keep theirs."""
     X = model(6, 4)
     ch = ChernCharacter(F(r), F(c), g, n)
-    z = charge_polynomial(X, ch, k)
-    zd = charge_polynomial(X, dual(ch), -F(k))
-    assert zd.re == poly.neg(z.re)
-    assert zd.im == z.im
+    t = twisted_invariants(X, ch, k)
+    assert twisted_invariants(X, dual(ch), -F(k)) == (t.v0, -t.w1, t.w2, -t.v3)
 
 
 def test_slope_examples():

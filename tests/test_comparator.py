@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from limitstab import poly
 from limitstab.charge import (
     ch_of_pair,
     ch_of_points,
@@ -17,7 +16,7 @@ from limitstab.comparator import (
     PhaseOrder,
     compare_phases,
     compare_phases_closed,
-    cross_polynomial,
+    cross_leading_term,
     destabilizing_threshold,
     phase_limit,
 )
@@ -25,6 +24,7 @@ from limitstab.geometry import CurveClass, NumericalThreefold
 
 from _fuzz import (
     comparator_case,
+    cross_value,
     random_in_scope_class,
     random_k,
     random_model,
@@ -64,8 +64,7 @@ def test_sheaf_precedes_pair_in_the_slope_case():
     e = ch_of_pair(CurveClass((1,)), 1)
     assert compare_phases(X, f, e, -1) is PhaseOrder.PRECEDES
     # exact large-m spot check
-    w = cross_polynomial(X, f, e, -1)
-    assert poly.evaluate(w, 10**6) > 0
+    assert cross_value(X, f, e, -1, 10**6) > 0
 
 
 def test_closed_comparison_slope_and_tie_cases():
@@ -130,10 +129,14 @@ def test_fuzz_agreement_antisymmetry_and_threshold():
         assert order is compare_phases_closed(X, f, e, k)
         assert compare_phases(X, e, f, k) is order.reversed()
         if order is not PhaseOrder.EQUAL:
-            w = poly.evaluate(cross_polynomial(X, f, e, k), 10**6)
+            w = cross_value(X, f, e, k, 10**6)
             assert (w > 0) == (order is PhaseOrder.PRECEDES)
         if order is not PhaseOrder.PRECEDES and f.r == 0 and any(g != 0 for g in f.gamma):
             assert k >= -untwisted_slope(X, f) / 2
+
+
+# six distinct points pin a polynomial of degree <= 5, and W has degree <= 5
+SIX_POINTS = (1, 2, 3, 5, F(1, 2), F(-7, 3))
 
 
 def test_duality_transport_negates_the_cross_polynomial():
@@ -144,9 +147,10 @@ def test_duality_transport_negates_the_cross_polynomial():
         X, f, e, k = comparator_case(rng)
         if f.r != 0 or all(g == 0 for g in f.gamma):
             continue
-        w = cross_polynomial(X, f, e, k)
-        wd = cross_polynomial(X, dual(f), dual(e), -k)
-        assert wd == poly.neg(w)
+        for m in SIX_POINTS:
+            assert cross_value(X, dual(f), dual(e), -k, m) == -cross_value(X, f, e, k, m)
+        degree, lead = cross_leading_term(X, f, e, k)
+        assert cross_leading_term(X, dual(f), dual(e), -k) == (degree, -lead)
         assert compare_phases(X, dual(f), dual(e), -k) is compare_phases(X, f, e, k).reversed()
 
 
@@ -171,13 +175,16 @@ def test_minors_agree_with_the_product_route_on_every_in_scope_shape():
         if shape(f) is None or shape(e) is None:
             continue
         k = random_k(rng)
-        w = cross_polynomial(X, f, e, k)
         m5, m3, m1 = _minors(X, f, e, k)
         assert m5 == 0
-        assert w == poly.poly([0, m1, 0, m3, 0, X.omega_cubed / 12 * m5])
-        assert compare_phases(X, f, e, k) is PhaseOrder(-poly.sign_at_infinity(w))
+        coefficients = {5: X.omega_cubed / 12 * m5, 3: m3, 1: m1}
+        for m in SIX_POINTS:
+            assert cross_value(X, f, e, k, m) == sum(c * m**d for d, c in coefficients.items())
+        degree, lead = next(((d, c) for d, c in coefficients.items() if c), (-1, 0))
+        assert cross_leading_term(X, f, e, k) == (degree, lead)
+        assert compare_phases(X, f, e, k) is PhaseOrder((lead < 0) - (lead > 0))
         shape_pairs.add(frozenset((shape(f), shape(e))))
-        degrees.add(poly.degree(w))
+        degrees.add(degree)
     for pair in (("pair",), ("sheaf",), ("point",), ("point", "sheaf")):
         assert frozenset(pair) in shape_pairs
     assert degrees == {3, 1, -1}

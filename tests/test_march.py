@@ -59,6 +59,7 @@ def test_a_wall_reads_the_chamber_on_the_asked_side():
         for (left, _), (right, _) in zip(table.entries, table.entries[1:]):
             w = left.hi
             assert invariant_value(model, beta, n, w, False) == table.value_at(_inside(left))
+            assert invariant_value(model, beta, n, w) == table.value_at(_inside(left))
             assert invariant_value(model, beta, n, w, True) == table.value_at(_inside(right))
 
 
@@ -78,6 +79,8 @@ def test_a_wall_at_k_pt_reads_the_seed_on_its_left():
     single = conifold_single(1)
     assert (single.name, CurveClass((1,)), 1, F(-1, 2)) in checked
     assert invariant_value(single, CurveClass((1,)), 1, F(-1, 2), True) == 0
+    # without a side, a wall reads its left chamber
+    assert invariant_value(single, CurveClass((1,)), 1, F(-1, 2)) == 1
 
 
 def _at_wall_points():
