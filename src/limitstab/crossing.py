@@ -48,7 +48,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError
 from .geometry import CurveClass, NumericalThreefold, _ConeIndex, check_effective, decompositions
-from .walls import Chamber, chambers, is_wall, mu_threshold, next_wall_above, wall_set
+from .walls import Chamber, _chambers_of, _wall_grid, _walls_in, mu_threshold, next_wall_above
+
+_ZERO = Fraction(0)
 
 
 class WallDatum(NamedTuple):
@@ -88,32 +90,36 @@ class WallReport(NamedTuple):
 class TableCache:
     """Memo store for the crossing recursion, filled lazily.
 
-    Four memo tables:
+    Five memo tables:
 
     * ``values[(beta, n, k.numerator, k.denominator, from_right)]`` --
       chamber values;
     * ``reports[(beta, n, k0.numerator, k0.denominator)]`` -- wall reports;
-    * ``splits[beta]`` -- the split table ``decompositions(model, beta)`` as
-      returned, ``(beta1, deg beta1, beta2)`` in (deg beta1, coordinates) order;
-    * ``m[beta2]`` -- ``min_ch3(model, beta2)``, read by one bisect from the
-      integer cone index ``geometry._ConeIndex``; a failing read is not stored.
+    * ``splits[beta]`` -- the splits of ``decompositions(model, beta)`` in
+      order, as ``(beta1, deg beta1, beta2, p, q)`` with ints p/q = deg beta1;
+    * ``m[beta2]`` -- ``min_ch3(model, beta2)`` and its ceiling, by one bisect
+      of the cone index ``geometry._ConeIndex``; a failing read is not stored;
+    * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps)
+      that the march and ``chamber_table`` read their walls from.
 
     The point keys hold ints only, so a hit in ``values`` or ``reports`` is
     one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
     key starts with the (beta, n) it belongs to.  ``splits`` and ``m`` are
-    filled by the wall-datum fill and by the seed bounds of ``chamber_table``
-    and ``pt_symmetry_check``.  A cache binds to the first model it serves
-    and refuses any other, so the cone index built at that first bind always
-    answers for the right model.  Entries are deterministic functions of that
-    model, but the cone index grows its lists in place, so two threads
-    growing it at once can corrupt it: confine one cache to one thread.
+    filled by the wall-datum fill, whose tests read only their ints, and by
+    the seed bounds of ``chamber_table`` and ``pt_symmetry_check``.  A cache
+    binds to the first model it serves and refuses any other, so the cone
+    index built at that first bind always answers for the right model.
+    Entries are deterministic functions of that model, but the cone index
+    grows its lists in place, so two threads growing it at once can corrupt
+    it: confine one cache to one thread.
     """
 
     def __init__(self):
         self.values: Dict[Tuple[CurveClass, int, int, int, bool], Fraction] = {}
         self.reports: Dict[Tuple[CurveClass, int, int, int], WallReport] = {}
-        self.splits: Dict[CurveClass, Tuple[Tuple[CurveClass, Fraction, CurveClass], ...]] = {}
-        self.m: Dict[CurveClass, Fraction] = {}
+        self.splits: Dict[CurveClass, Tuple[tuple, ...]] = {}
+        self.m: Dict[CurveClass, Tuple[Fraction, int]] = {}
+        self.grids: Dict[CurveClass, Tuple[int, Tuple[int, ...]]] = {}
         self._model: Optional[NumericalThreefold] = None
 
     def bind(self, model: NumericalThreefold) -> None:
@@ -140,14 +146,24 @@ def _as_fraction(x) -> Fraction:
 
 def _splits(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
     if (splits := cache.splits.get(beta)) is None:
-        splits = cache.splits[beta] = decompositions(model, beta)
+        splits = cache.splits[beta] = tuple(
+            (b1, d1, b2, d1.numerator, d1.denominator) for b1, d1, b2 in decompositions(model, beta)
+        )
     return splits
 
 
-def _m(beta2: CurveClass, cache: TableCache) -> Fraction:
+def _m(beta2: CurveClass, cache: TableCache) -> Tuple[Fraction, int]:
     if (m2 := cache.m.get(beta2)) is None:
-        m2 = cache.m[beta2] = cache._cone.m(beta2)
+        m = cache._cone.m(beta2)
+        m2 = cache.m[beta2] = (m, -(-m.numerator // m.denominator))
     return m2
+
+
+def _walls(model: NumericalThreefold, beta: CurveClass, k_lo, k_hi, cache: TableCache):
+    """The walls of beta in [k_lo, k_hi], from its wall grid in the cache."""
+    if (grid := cache.grids.get(beta)) is None:
+        grid = cache.grids[beta] = _wall_grid(model, beta)
+    return _walls_in(grid, k_lo, k_hi)
 
 
 def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fraction:
@@ -155,7 +171,7 @@ def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fr
     if beta.is_zero():
         raise TableArgumentError("mu threshold needs a nonzero class")
     n = Fraction(n)
-    return max((n - _m(beta2, cache)) / deg1 for _, deg1, beta2 in _splits(model, beta, cache))
+    return max((n - _m(b2, cache)[0]) / d1 for _, d1, b2, _, _ in _splits(model, beta, cache))
 
 
 def enumerate_wall_data(
@@ -168,22 +184,22 @@ def enumerate_wall_data(
     """All admissible data at k0, sorted by (deg beta1, coordinates of beta1).
 
     Empty whenever the slope constraint has no integral solution or the
-    ch3 bounds exclude every candidate.  The slope test runs on ints: with
-    mu = -2*k0 and deg beta1 = p/q, n1 and its remainder come from one
-    divmod of mu.numerator*p by mu.denominator*q, and a split with a nonzero
-    remainder is skipped.  The splittings of beta and the m(beta2) bounds
-    come from the cache's memo tables.
+    ch3 bounds exclude every candidate.  Both tests run on the ints of the
+    cache's split and m tables: with deg beta1 = p/q, n1 and its remainder
+    come from one divmod of -2*k0.numerator*p by k0.denominator*q (a nonzero
+    remainder skips the split), and n2 >= m(beta2) or n2 <= -m(beta2) is
+    n2 >= ceil(m) or -n2 >= ceil(m).
     """
     cache = _bound_cache(cache, model)
     k0 = _as_fraction(k0)
-    mu = -2 * k0
+    num, den = -2 * k0.numerator, k0.denominator
     out = []
-    for beta1, deg1, beta2 in _splits(model, beta, cache):
-        n1, rest = divmod(mu.numerator * deg1.numerator, mu.denominator * deg1.denominator)
+    for beta1, _, beta2, p, q in _splits(model, beta, cache):
+        n1, rest = divmod(num * p, den * q)
         if rest:
             continue
-        n2, m2 = n - n1, _m(beta2, cache)
-        if n2 >= m2 or (not beta2.is_zero() and n2 <= -m2):
+        n2, lo = n - n1, _m(beta2, cache)[1]
+        if n2 >= lo or (-n2 >= lo and not beta2.is_zero()):
             out.append(WallDatum(k0, beta1, n1, beta2, n2))
     return out
 
@@ -241,14 +257,8 @@ def _chamber_value(
     check_effective(model, beta)
     value = _seed(model, beta, n)
     k_pt = -mu_threshold(model, beta, n) / 2
-    if k > k_pt:
-        walls = wall_set(model, beta, k_pt, k).walls
-    elif k == k_pt and from_right and is_wall(model, beta, k_pt):
-        walls = (k_pt,)
-    else:
-        walls = ()
-    for w in walls:
-        if w < k or (w == k and from_right):
+    for w in _walls(model, beta, k_pt, k, cache) if k >= k_pt else ():  # every w <= k
+        if w < k or from_right:
             value -= _wall_total(model, beta, n, w, cache).total
     cache.values[key] = value
     return value
@@ -272,9 +282,9 @@ def _wall_total(
         l_value = l_at_wall(model, datum.beta2, datum.n2, k0, cache) if n_value else None
         terms.append(DatumContribution(
             datum, coeff, n_value, coeff != 0 and n_value is None, l_value,
-            Fraction(0) if l_value is None else coeff * n_value * l_value,
+            _ZERO if l_value is None else coeff * n_value * l_value,
         ))
-    total = sum((t.contribution for t in terms), Fraction(0))
+    total = sum((t.contribution for t in terms), _ZERO)
     report = cache.reports[key] = WallReport(k0, tuple(terms), total)
     return report
 
@@ -371,7 +381,9 @@ def chamber_table(
             f"interval must start below the seed bound k_pt = {k_pt}, got k_lo = {k_lo}"
         )
     value = _seed(model, beta, n)
-    chams = chambers(model, beta, k_lo, k_hi)
+    if not k_lo < k_hi:
+        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
+    chams = _chambers_of(_walls(model, beta, k_lo, k_hi, cache), k_lo, k_hi)
     entries = [(chams[0], value)]
     reports = []
     for chamber in chams[1:]:

@@ -69,6 +69,11 @@ class CurveClass(_CurveClassFields):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
+def _int_class(coeffs: Tuple[int, ...]) -> CurveClass:
+    """A CurveClass from a tuple of ints, without ``__new__``'s per-coordinate ``int()``."""
+    return tuple.__new__(CurveClass, (coeffs,))
+
+
 def zero_class(rank: int) -> CurveClass:
     return CurveClass((0,) * rank)
 
@@ -229,7 +234,7 @@ class _ConeIndex:
     def _grow(self, top: int) -> None:
         box = itertools.product(*(range(top // s + 1) for s in self.scaled))
         scaled = lambda g: sum(c * s for c, s in zip(g, self.scaled))
-        new = sorted((e, CurveClass(g)) for g in box if self.top < (e := scaled(g)) <= top)
+        new = sorted((e, _int_class(g)) for g in box if self.top < (e := scaled(g)) <= top)
         for e, gamma in new:
             self.degrees.append(e)
             if self.missing is None and gamma not in self.model.m_table:
@@ -255,6 +260,6 @@ def decompositions(
     # an int degree orders as the Fraction degree, and a class as its coordinates
     splits = sorted((sum(c * s for c, s in zip(g, scaled)), g) for g in box if any(g))
     return tuple(
-        (CurveClass(g), Fraction(e, scale), CurveClass(b - c for b, c in zip(beta.coeffs, g)))
+        (_int_class(g), Fraction(e, scale), _int_class(tuple(map(int.__sub__, beta.coeffs, g))))
         for e, g in splits
     )

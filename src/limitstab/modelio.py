@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, Optional
 
 from .errors import ModelParseError
-from .geometry import CurveClass, NumericalThreefold
+from .geometry import CurveClass, NumericalThreefold, _int_class
 
 _SECTIONS = ("basis", "m_table", "n_table", "p_seed")
 _SCALARS = ("omega_cubed", "c2_omega")
@@ -56,7 +56,7 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -67,7 +67,7 @@ def parse_class(text: str, line: int | None = None) -> CurveClass:
     if text == "":
         raise ModelParseError("empty class tuple", line)
     try:
-        return CurveClass(map(int, text.split(",")))
+        return _int_class(tuple(map(int, text.split(","))))
     except ValueError:
         raise ModelParseError(f"malformed class tuple {text!r}", line) from None
 

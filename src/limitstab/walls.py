@@ -15,9 +15,9 @@ basis-degree denominators, every effective class has the integer degree
 e = D * deg, and the wall m / (2 * deg) is j / G with G = lcm of the 2e over
 the degrees e <= D * deg(beta) and j = m * D * G / (2e).  So the walls of
 beta are the j / G whose j is a multiple of one of the steps D * G / (2e):
-``wall_set`` merges those arithmetic progressions over a window,
-``is_wall`` tests divisibility, and ``next_wall_above`` takes the smallest
-next multiple, all on ints.  A Fraction is made only for a wall returned.
+``wall_set`` merges those arithmetic progressions over a window (``is_wall``
+over the window [k, k]), and ``next_wall_above`` takes the smallest next
+multiple, all on ints.  A Fraction is made only for a wall returned.
 
 ``mu_threshold`` is the largest slope a destabilizing sheaf can carry:
 
@@ -88,6 +88,27 @@ def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[
     return grid, tuple(scale * grid // (2 * e) for e in reached)
 
 
+def _walls_in(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
+    """The walls in [k_lo, k_hi] of the class whose ``_wall_grid`` is ``grid_steps``, sorted."""
+    grid, steps = grid_steps
+    j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
+    j_hi = k_hi.numerator * grid // k_hi.denominator
+    found = set()
+    for s in steps:
+        found.update(range(-(-j_lo // s) * s, j_hi + 1, s))
+    return tuple(Fraction(j, grid) for j in sorted(found))
+
+
+def _chambers_of(walls: Tuple[Fraction, ...], k_lo: Fraction, k_hi: Fraction) -> List[Chamber]:
+    """Open intervals between the sorted ``walls`` of [k_lo, k_hi], clipped to it."""
+    points = list(walls)
+    if not points or points[0] != k_lo:
+        points.insert(0, k_lo)
+    if points[-1] != k_hi:
+        points.append(k_hi)
+    return [Chamber(a, b) for a, b in zip(points, points[1:])]
+
+
 def wall_set(
     model: NumericalThreefold, beta: CurveClass, k_lo, k_hi
 ) -> WallSet:
@@ -95,13 +116,7 @@ def wall_set(
     k_lo, k_hi = Fraction(k_lo), Fraction(k_hi)
     if not k_lo < k_hi:
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
-    grid, steps = _wall_grid(model, beta)
-    j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
-    j_hi = k_hi.numerator * grid // k_hi.denominator
-    found = set()
-    for s in steps:
-        found.update(range(-(-j_lo // s) * s, j_hi + 1, s))
-    return WallSet(beta, (k_lo, k_hi), tuple(Fraction(j, grid) for j in sorted(found)))
+    return WallSet(beta, (k_lo, k_hi), _walls_in(_wall_grid(model, beta), k_lo, k_hi))
 
 
 def next_wall_above(model: NumericalThreefold, beta: CurveClass, k) -> Fraction:
@@ -114,9 +129,7 @@ def next_wall_above(model: NumericalThreefold, beta: CurveClass, k) -> Fraction:
 
 def is_wall(model: NumericalThreefold, beta: CurveClass, k) -> bool:
     k = Fraction(k)
-    grid, steps = _wall_grid(model, beta)
-    j, rest = divmod(k.numerator * grid, k.denominator)
-    return rest == 0 and any(j % s == 0 for s in steps)
+    return bool(_walls_in(_wall_grid(model, beta), k, k))
 
 
 def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:
@@ -142,10 +155,4 @@ def chambers(
 ) -> List[Chamber]:
     """Open intervals between consecutive walls, clipped to [k_lo, k_hi]."""
     ws = wall_set(model, beta, k_lo, k_hi)
-    k_lo, k_hi = ws.interval
-    points = list(ws.walls)
-    if not points or points[0] != k_lo:
-        points.insert(0, k_lo)
-    if points[-1] != k_hi:
-        points.append(k_hi)
-    return [Chamber(a, b) for a, b in zip(points, points[1:])]
+    return _chambers_of(ws.walls, *ws.interval)

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from limitstab import crossing
+from limitstab import crossing, walls
 from limitstab.charge import ch_of_sheaf
 from limitstab.comparator import destabilizing_threshold
 from limitstab.crossing import (
@@ -29,7 +30,7 @@ from limitstab.geometry import (
     min_ch3,
 )
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
-from limitstab.walls import mu_threshold, pt_bounds, wall_set
+from limitstab.walls import _wall_grid, mu_threshold, next_wall_above, pt_bounds, wall_set
 
 F = Fraction
 C1_ = CurveClass((1,))
@@ -112,6 +113,18 @@ def test_chamber_table_requires_seed_coverage():
             chamber_table(single, beta, 1, -1, 0)
     with pytest.raises(ModelDataError, match="p_seed has no entry"):
         chamber_table(single, C1_, 7, -10, 0)
+
+
+def test_chamber_table_rejects_an_empty_interval_after_its_seed_checks():
+    single = conifold_single(1)  # k_pt = -1/2 for n = 1, and a seed exists
+    for k_lo, k_hi in ((F(-1), F(-1)), (F(-1), F(-2)), (F(-3, 4), F(-5, 4))):
+        with pytest.raises(TableArgumentError, match=rf"^empty interval \[{k_lo}, {k_hi}\]$"):
+            chamber_table(single, C1_, 1, k_lo, k_hi)
+    # the seed bound is checked first, then the seed
+    with pytest.raises(TableArgumentError, match="below the seed bound"):
+        chamber_table(single, C1_, 1, 0, -1)
+    with pytest.raises(ModelDataError, match="p_seed has no entry"):
+        chamber_table(single, C1_, 7, -10, -11)
 
 
 def test_telescoping_identity():
@@ -207,6 +220,27 @@ def test_pt_symmetry_check_single():
     assert dict(report.laurent) == {
         1: 1, -1: 0, 2: -2, -2: 0, 3: 3, -3: 0, 4: -4, -4: 0
     }
+
+
+def test_pt_symmetry_check_reads_right_of_a_positive_k_dual():
+    # m([C]) = -2: the split ([C], [C]) gives mu(2[C], -1) = (-1 + 2)/1 = 1,
+    # so k_dual = 1/2 lies right of 0, unlike on every preset
+    model = NumericalThreefold(
+        basis=[("C", 1)],
+        omega_cubed=1,
+        m_table={C1_: F(-2), C2_: F(-2)},
+        n_table={(1, C1_): F(1), (-1, C1_): F(1)},
+        p_seed={**{(n, C1_): F(1) for n in range(-3, 4)}, (1, C2_): F(0)},
+    )
+    k_dual = pt_bounds(model, C2_, 1)[1]
+    assert (k_dual, next_wall_above(model, C2_, k_dual)) == (F(1, 2), F(3, 4))
+    (row,) = pt_symmetry_check(model, C2_, 1).rows
+    assert row.p_minus_derived == invariant_value(model, C2_, 1, F(5, 8)) == 0
+    # the chamber (-1/2, 1/2) below k_dual holds another value
+    assert chamber_table(model, C2_, 1, -2, 1).merged() == (
+        (F(-2), F(-1, 2), F(0)), (F(-1, 2), F(1, 2), F(-1)), (F(1, 2), F(1), F(0))
+    )
+    assert (row.p_plus, row.relation_defect) == (0, 0)
 
 
 def test_dual_side_counts_vanish_for_the_double_preset():
@@ -450,6 +484,77 @@ def test_split_table_matches_the_cone_enumeration(case):
 
 
 @st.composite
+def _synthetic_tables(draw):
+    """(model, beta): rank 1 to 3, m covering the cone below beta, sparse counts."""
+    rank = draw(st.integers(1, 3))
+    degrees = [draw(st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)])) for _ in range(rank)]
+    coeffs = draw(st.lists(st.integers(0, 3 - rank // 2), min_size=rank, max_size=rank).filter(any))
+    deg = lambda g: sum(c * d for c, d in zip(g, degrees))
+    cone = [g for g in itertools.product(*(range(int(deg(coeffs) / d) + 1) for d in degrees))
+            if any(g) and deg(g) <= deg(coeffs)]
+    box = [g for g in itertools.product(*(range(c + 1) for c in coeffs)) if any(g)]
+    counts = st.sampled_from([None, F(0), F(1), F(-1, 2), F(2)])
+    n_table = {(n1, CurveClass(g)): draw(counts) for g in box for n1 in range(-4, 5) if n1}
+    m_values = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(2)])
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(6),
+        m_table={CurveClass(g): draw(m_values) for g in cone},
+        n_table={key: v for key, v in n_table.items() if v is not None},
+        p_seed=_SeedEverywhere(),
+    )
+    return model, CurveClass(coeffs)
+
+
+def _query_pool(model, beta):
+    """Table, point, wall-value and crossing queries on beta for n = -2..2, on
+    every class below it and on the remainder classes of its wall data, each
+    a function of the cache."""
+    box = itertools.product(*(range(c + 1) for c in beta.coeffs))
+    below = [CurveClass(g) for g in box if any(g)]
+    out = []
+    for n in range(-2, 3):
+        k_pt = pt_bounds(model, beta, n)[0]
+        walls = wall_set(model, beta, k_pt - 1, k_pt + 2).walls[:12]
+        out.append(lambda c, n=n, k=k_pt: chamber_table(model, beta, n, k - 1, k + 2, c))
+        for k in walls + tuple((a + b) / 2 for a, b in zip(walls, walls[1:])):
+            for side in (False, True):
+                out.append(lambda c, n=n, k=k, s=side: invariant_value(model, beta, n, k, s, c))
+        for b, k in itertools.product(below, walls[::3]):
+            out.append(lambda c, b=b, n=n, k=k: invariant_value(model, b, n, k, True, c))
+        for k0 in walls:
+            out.append(lambda c, n=n, k0=k0: cross_wall(model, beta, n, k0, F(3), c))
+            for d in enumerate_wall_data(model, beta, n, k0):
+                out.append(lambda c, d=d: l_at_wall(model, d.beta2, d.n2, d.k0, c))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from([
+    (conifold_single(1), C1_),
+    (conifold_pair(3, 2), PAIR_BETA),
+    (conifold_double(1), C2_),
+]) | _synthetic_tables(), data=st.data())
+def test_a_shared_cache_answers_every_query_as_a_fresh_one(case, data):
+    """A shuffled run of queries on one cache, which fills its wall grids,
+    splits and m bounds in that order, gives each query's values, reports
+    and errors from a fresh cache, and leaves each class's own entries."""
+    model, beta = case
+    pool = _query_pool(model, beta)
+    order = data.draw(st.permutations(range(len(pool))))[:30]
+    cache = TableCache()
+    for i in order:
+        assert _outcome(lambda: pool[i](cache)) == _outcome(lambda: pool[i](None))
+    for b, grid in cache.grids.items():
+        assert grid == _wall_grid(model, b)
+    for b, splits in cache.splits.items():
+        assert tuple(split[:3] for split in splits) == decompositions(model, b)
+        assert all(F(p, q) == deg1 for _, deg1, _, p, q in splits)
+    for b, (m, ceiling) in cache.m.items():
+        assert (m, ceiling) == (min_ch3(model, b), math.ceil(m))
+
+
+@st.composite
 def _slope_cases(draw):
     rank = draw(st.integers(1, 3))
     degrees = [F(draw(st.integers(1, 4)), draw(st.integers(1, 4))) for _ in range(rank)]
@@ -464,7 +569,8 @@ def _slope_cases(draw):
     model = NumericalThreefold(
         basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
         omega_cubed=F(6),
-        m_table={g: draw(st.integers(-2, 3).map(F)) for g in classes},
+        # half-integral m too, where the int bounds ceil(m) and floor(-m) differ from m
+        m_table={g: draw(st.integers(-4, 6).map(lambda h: F(h, 2))) for g in classes},
     )
     return model, CurveClass(coeffs), draw(st.integers(-4, 4))
 
@@ -536,12 +642,30 @@ def test_each_class_is_split_once_per_cache(monkeypatch):
     assert chamber_table(double, C2_, 4, -2, 0, cache) == expected
     assert sorted(split) == sorted(set(split)) == sorted(cache.splits) == [C1_, C2_]
     assert sorted(bounded) == sorted(set(bounded)) == sorted(cache.m)
-    remainders = {beta2 for splits in cache.splits.values() for _, _, beta2 in splits}
+    remainders = {beta2 for splits in cache.splits.values() for _, _, beta2, _, _ in splits}
     assert set(bounded) <= remainders
     # a second table on the same cache splits and bounds nothing new
     before = len(split), len(bounded)
     chamber_table(double, C2_, 3, -2, 0, cache)
     assert (len(split), len(bounded)) == before
+
+
+def test_each_wall_grid_is_built_once_per_cache(monkeypatch):
+    double = conifold_double(1)
+    expected = chamber_table(double, C2_, 4, -2, 0)
+    built = []
+    counted = lambda model, beta: built.append(beta) or _wall_grid(model, beta)
+    for module in (crossing, walls):
+        monkeypatch.setattr(module, "_wall_grid", counted)
+    cache = TableCache()
+    assert chamber_table(double, C2_, 4, -2, 0, cache) == expected
+    # the table's class and the class of the sub-table marched at k0 = -1
+    assert sorted(built) == sorted(set(built)) == sorted(cache.grids) == [C1_, C2_]
+    # more tables and point queries on the same cache build no grid
+    chamber_table(double, C2_, 3, -2, 0, cache)
+    invariant_value(double, C1_, 2, F(1, 3), True, cache)
+    l_at_wall(double, C2_, 4, F(-1, 2), cache)
+    assert sorted(built) == [C1_, C2_]
 
 
 @st.composite
@@ -721,9 +845,9 @@ def test_double_preset_counts_are_linearized_wall_coefficients():
     assert (2, C2_) not in n_table and (-2, C2_) not in n_table
 
 
-def _count_fraction_work(monkeypatch):
-    """Count calls of Fraction's constructor, hash and equality from now on."""
-    counts = {"__new__": 0, "__hash__": 0, "__eq__": 0}
+def _count_fraction_work(monkeypatch, names=("__hash__", "__eq__")):
+    """Count calls of Fraction's constructor and of the methods ``names`` from now on."""
+    counts = dict.fromkeys(("__new__", *names), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -732,9 +856,25 @@ def _count_fraction_work(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
-    for name in ("__hash__", "__eq__"):
+    for name in names:
         monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
     return counts
+
+
+def test_the_wall_data_fill_on_a_warm_split_table_does_no_fraction_work(monkeypatch):
+    double, pair = conifold_double(1), conifold_pair(3, 2)
+    on_double, on_pair = TableCache(), TableCache()
+    double_points = (F(-3, 2), F(-1), F(-1, 4), F(0), F(1))
+    points = [(double, C2_, n, k0, on_double) for n in (-4, 0, 3, 4) for k0 in double_points]
+    points += [(pair, PAIR_BETA, 2, k0, on_pair) for k0 in (F(-1, 4), F(-1, 5), F(-1, 2), F(1, 3))]
+    warm = [enumerate_wall_data(*point) for point in points]
+    assert sum(map(len, warm)) >= 10
+    names = ("__hash__", "__eq__", "__lt__", "__le__", "__ge__")
+    counts = _count_fraction_work(monkeypatch, names)
+    again = [enumerate_wall_data(*point) for point in points]
+    assert counts == dict.fromkeys(("__new__", *names), 0)
+    monkeypatch.undo()
+    assert again == warm
 
 
 def test_a_memo_hit_does_no_fraction_work(monkeypatch):
