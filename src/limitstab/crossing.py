@@ -42,13 +42,15 @@ or hits the beta2 = 0 base case.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError
 from .geometry import CurveClass, NumericalThreefold, _ConeIndex, check_effective, decompositions
-from .walls import Chamber, _chambers_of, _wall_grid, _walls_in, mu_threshold, next_wall_above
+from .walls import Chamber, _chambers_of, _grid_walls, _next_above, _wall_grid, _walls_in
+from .walls import mu_threshold
 
 _ZERO = Fraction(0)
 
@@ -100,7 +102,8 @@ class TableCache:
     * ``m[beta2]`` -- ``min_ch3(model, beta2)`` and its ceiling, by one bisect
       of the cone index ``geometry._ConeIndex``; a failing read is not stored;
     * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps)
-      that the march and ``chamber_table`` read their walls from.
+      that the march, ``chamber_table`` and ``pt_symmetry_check`` read their
+      walls from.
 
     The point keys hold ints only, so a hit in ``values`` or ``reports`` is
     one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
@@ -159,11 +162,11 @@ def _m(beta2: CurveClass, cache: TableCache) -> Tuple[Fraction, int]:
     return m2
 
 
-def _walls(model: NumericalThreefold, beta: CurveClass, k_lo, k_hi, cache: TableCache):
-    """The walls of beta in [k_lo, k_hi], from its wall grid in the cache."""
+def _grid(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
+    """The wall grid (G, steps) of beta, built once per cache."""
     if (grid := cache.grids.get(beta)) is None:
         grid = cache.grids[beta] = _wall_grid(model, beta)
-    return _walls_in(grid, k_lo, k_hi)
+    return grid
 
 
 def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fraction:
@@ -246,7 +249,8 @@ def _chamber_value(
     L(0, n) = delta_{n,0}, unmemoized.  Otherwise crosses every wall w with
     k_pt <= w < k, plus w = k itself when the value just right of k is
     wanted.  Walls below k_pt carry no admissible data with a nonzero jump
-    (the seed law), so starting the march at k_pt is exact.
+    (the seed law), so starting the march at k_pt is exact.  The walls are
+    the ints j of beta's grid (G, steps), compared with k on ints.
     """
     key = (beta, n, k.numerator, k.denominator, from_right)
     if (value := cache.values.get(key)) is not None:
@@ -257,9 +261,12 @@ def _chamber_value(
     check_effective(model, beta)
     value = _seed(model, beta, n)
     k_pt = -mu_threshold(model, beta, n) / 2
-    for w in _walls(model, beta, k_pt, k, cache) if k >= k_pt else ():  # every w <= k
-        if w < k or from_right:
-            value -= _wall_total(model, beta, n, w, cache).total
+    G, _ = grid = _grid(model, beta, cache)
+    for j in _grid_walls(grid, k_pt, k):  # every wall j/G in [k_pt, k]
+        if from_right or j * k.denominator < k.numerator * G:
+            g = math.gcd(j, G)
+            if total := _wall_total(model, beta, n, j // g, G // g, cache).total:
+                value -= total
     cache.values[key] = value
     return value
 
@@ -268,23 +275,26 @@ def _wall_total(
     model: NumericalThreefold,
     beta: CurveClass,
     n: int,
-    k0: Fraction,
+    num: int,
+    den: int,
     cache: TableCache,
 ) -> WallReport:
-    key = (beta, n, k0.numerator, k0.denominator)
+    """The report at the wall num/den, given in lowest terms as its memo key holds it."""
+    key = (beta, n, num, den)
     if (report := cache.reports.get(key)) is not None:
         return report
+    k0 = Fraction(num, den)
     terms = []
     for datum in enumerate_wall_data(model, beta, n, k0, cache):
         coeff = datum.coefficient
-        # a zero coefficient, an absent count or a zero count skips the recursive factor
+        # a zero coefficient, an absent or zero count skips the factor L, a zero L the product
         n_value = model.n_table.get((datum.n1, datum.beta1)) if coeff else None
         l_value = l_at_wall(model, datum.beta2, datum.n2, k0, cache) if n_value else None
         terms.append(DatumContribution(
             datum, coeff, n_value, coeff != 0 and n_value is None, l_value,
-            _ZERO if l_value is None else coeff * n_value * l_value,
+            coeff * n_value * l_value if l_value else _ZERO,
         ))
-    total = sum((t.contribution for t in terms), _ZERO)
+    total = sum((t.contribution for t in terms if t.l_value), _ZERO)
     report = cache.reports[key] = WallReport(k0, tuple(terms), total)
     return report
 
@@ -312,7 +322,8 @@ def cross_wall(
 ) -> Tuple[Fraction, WallReport]:
     """Apply the jump law at k0 to the left-chamber value; returns (L_plus, report)."""
     cache = _bound_cache(cache, model)
-    report = _wall_total(model, beta, n, _as_fraction(k0), cache)
+    k0 = _as_fraction(k0)
+    report = _wall_total(model, beta, n, k0.numerator, k0.denominator, cache)
     return _as_fraction(l_minus) - report.total, report
 
 
@@ -383,11 +394,11 @@ def chamber_table(
     value = _seed(model, beta, n)
     if not k_lo < k_hi:
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
-    chams = _chambers_of(_walls(model, beta, k_lo, k_hi, cache), k_lo, k_hi)
+    chams = _chambers_of(_walls_in(_grid(model, beta, cache), k_lo, k_hi), k_lo, k_hi)
     entries = [(chams[0], value)]
     reports = []
     for chamber in chams[1:]:
-        report = _wall_total(model, beta, n, chamber.lo, cache)
+        report = _wall_total(model, beta, n, chamber.lo.numerator, chamber.lo.denominator, cache)
         value -= report.total
         reports.append(report)
         entries.append((chamber, value))
@@ -439,7 +450,7 @@ def pt_symmetry_check(
     coeffs: Dict[int, Fraction] = {}
     for n in range(1, n_max + 1):
         k_pt, k_dual = -_mu(model, beta, n, cache) / 2, _mu(model, beta, -n, cache) / 2
-        right = (k_dual + next_wall_above(model, beta, k_dual)) / 2
+        right = (k_dual + _next_above(_grid(model, beta, cache), k_dual)) / 2
         table = chamber_table(model, beta, n, k_pt - 1, right, cache)
         p_plus = table.seed
         p_minus = table.entries[-1][1]

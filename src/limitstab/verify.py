@@ -2,7 +2,8 @@
 
 Every check recomputes a published chamber table, crossing report, or
 dual-count relation from the seeds alone and diffs it against the frozen
-expected values.  Exact comparison, no tolerances.
+expected values.  Exact comparison, no tolerances.  All checks of a preset
+share one ``TableCache``, and the mirror check reflects whole tables.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .crossing import TableCache, chamber_table, enumerate_wall_data, pt_symmetry_check
+from .crossing import TableCache, chamber_table, pt_symmetry_check
 from .geometry import CurveClass
 from .presets import conifold_double, conifold_pair, conifold_single
+from .walls import Chamber
 
 F = Fraction
 
@@ -35,12 +37,12 @@ def _datum_at_quarter(model, table) -> bool:
 
 
 def _no_data_at_three_halves(model, table) -> bool:
-    return enumerate_wall_data(model, table.beta, table.n, F(-3, 2)) == []
+    return [r.terms for r in table.reports if r.k0 == F(-3, 2)] == [()]
 
 
 def _contributions_at_minus_one(model, table) -> bool:
-    at_minus_1 = [r for r in table.reports if r.k0 == F(-1)][0]
-    by_datum = {(t.datum.beta1, t.datum.n1): t.contribution for t in at_minus_1.terms}
+    terms = [t for r in table.reports if r.k0 == F(-1) for t in r.terms]
+    by_datum = {(t.datum.beta1, t.datum.n1): t.contribution for t in terms}
     return by_datum.get((table.beta, 4)) == 1 and by_datum.get((CurveClass((1,)), 2)) == 0
 
 
@@ -75,10 +77,12 @@ def reference_tables():
 
 def run_verification() -> List[CheckResult]:
     results: List[CheckResult] = []
-    tables = reference_tables()
-    for model, beta, n_max, rows in tables:
+    mirrors: List[CheckResult] = []
+    for model, beta, n_max, rows in reference_tables():
+        cache = TableCache()
+        mirrored = True
         for n, lo, hi, values, walls, extra in rows:
-            table = chamber_table(model, beta, n, lo, hi)
+            table = chamber_table(model, beta, n, lo, hi, cache)
             got_values = tuple(v for _, _, v in table.merged())
             got_walls = table.effective_walls()
             results.append(
@@ -91,24 +95,14 @@ def run_verification() -> List[CheckResult]:
             if extra:
                 label, holds = extra
                 results.append(CheckResult(f"{model.name}: {label}", holds(model, table)))
+            # the (beta, -n) table on [-hi, -lo]: the same chambers reflected, the same values
+            reflected = tuple((Chamber(-c.hi, -c.lo), v) for c, v in reversed(table.entries))
+            mirrored &= chamber_table(model, beta, -n, -hi, -lo, cache).entries == reflected
         if n_max:
-            report = pt_symmetry_check(model, beta, n_max)
+            report = pt_symmetry_check(model, beta, n_max, cache)
             ok = all(r.p_minus_derived == 0 and r.relation_defect == 0 for r in report.rows)
             results.append(
                 CheckResult(f"{model.name}: dual counts vanish with zero defect", ok)
             )
-
-    for model, beta, _, rows in tables:
-        cache = TableCache()
-        ok = True
-        for n, lo, hi, *_ in rows:
-            plus = chamber_table(model, beta, n, lo, hi, cache)
-            minus = chamber_table(model, beta, -n, -hi, -lo, cache)
-            for chamber, value in plus.entries:
-                span = chamber.hi - chamber.lo
-                for t in (F(1, 4), F(1, 2), F(3, 4)):
-                    point = chamber.lo + span * t
-                    if minus.value_at(-point) != value:
-                        ok = False
-        results.append(CheckResult(f"{model.name}: tables mirror under (n,k) -> (-n,-k)", ok))
-    return results
+        mirrors.append(CheckResult(f"{model.name}: tables mirror under (n,k) -> (-n,-k)", mirrored))
+    return results + mirrors

@@ -14,10 +14,10 @@ The walls of one class sit on an integer grid.  With D the lcm of the
 basis-degree denominators, every effective class has the integer degree
 e = D * deg, and the wall m / (2 * deg) is j / G with G = lcm of the 2e over
 the degrees e <= D * deg(beta) and j = m * D * G / (2e).  So the walls of
-beta are the j / G whose j is a multiple of one of the steps D * G / (2e):
-``wall_set`` merges those arithmetic progressions over a window (``is_wall``
-over the window [k, k]), and ``next_wall_above`` takes the smallest next
-multiple, all on ints.  A Fraction is made only for a wall returned.
+beta are the j / G whose j is a multiple of one of the steps D * G / (2e).
+``_grid_walls`` merges those progressions over a window on ints, for
+``wall_set``, ``is_wall`` and the crossing march, and ``_next_above`` takes
+the smallest next multiple.  A Fraction is made only for a wall returned.
 
 ``mu_threshold`` is the largest slope a destabilizing sheaf can carry:
 
@@ -88,15 +88,27 @@ def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[
     return grid, tuple(scale * grid // (2 * e) for e in reached)
 
 
-def _walls_in(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
-    """The walls in [k_lo, k_hi] of the class whose ``_wall_grid`` is ``grid_steps``, sorted."""
+def _grid_walls(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
+    """The j of the walls j/G in [k_lo, k_hi] on the grid ``grid_steps`` = (G, steps), sorted."""
     grid, steps = grid_steps
     j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
     j_hi = k_hi.numerator * grid // k_hi.denominator
     found = set()
     for s in steps:
         found.update(range(-(-j_lo // s) * s, j_hi + 1, s))
-    return tuple(Fraction(j, grid) for j in sorted(found))
+    return sorted(found)
+
+
+def _walls_in(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
+    """The walls in [k_lo, k_hi] of the class whose ``_wall_grid`` is ``grid_steps``, sorted."""
+    return tuple(Fraction(j, grid_steps[0]) for j in _grid_walls(grid_steps, k_lo, k_hi))
+
+
+def _next_above(grid_steps: Tuple[int, Tuple[int, ...]], k: Fraction) -> Fraction:
+    """The smallest wall above k of the class whose ``_wall_grid`` is ``grid_steps``."""
+    grid, steps = grid_steps
+    j = k.numerator * grid // k.denominator  # floor(k * grid)
+    return Fraction(min((j // s + 1) * s for s in steps), grid)
 
 
 def _chambers_of(walls: Tuple[Fraction, ...], k_lo: Fraction, k_hi: Fraction) -> List[Chamber]:
@@ -121,15 +133,12 @@ def wall_set(
 
 def next_wall_above(model: NumericalThreefold, beta: CurveClass, k) -> Fraction:
     """Smallest wall of S(beta) strictly greater than k."""
-    k = Fraction(k)
-    grid, steps = _wall_grid(model, beta)
-    j = k.numerator * grid // k.denominator  # floor(k * grid)
-    return Fraction(min((j // s + 1) * s for s in steps), grid)
+    return _next_above(_wall_grid(model, beta), Fraction(k))
 
 
 def is_wall(model: NumericalThreefold, beta: CurveClass, k) -> bool:
     k = Fraction(k)
-    return bool(_walls_in(_wall_grid(model, beta), k, k))
+    return bool(_grid_walls(_wall_grid(model, beta), k, k))
 
 
 def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:

@@ -729,21 +729,22 @@ def test_table_seed_bounds_equal_pt_bounds(case):
                 f"interval must start below the seed bound k_pt = {bounds[0][0]}, got k_lo = 99"
             ))
             assert _outcome(lambda: chamber_table(model, beta, n, 99, 100, cache)) == expected
-    # pt_symmetry_check's (k_pt, k_dual) for each n, read off the calls it makes:
-    # next_wall_above(k_dual), then a table from k_pt - 1
+    # pt_symmetry_check's (k_pt, k_dual) for each n, read off the table it asks
+    # for: from k_pt - 1 up to midway between k_dual and the next wall above it
+    # (a strictly increasing function of k_dual)
     seen = []
-    table = lambda model, beta, n, lo, hi, cache: seen.append(lo + 1) or crossing.ChamberTable(
-        beta, n, (lo, hi), ((None, F(0)),), ()
+    table = lambda model, beta, n, lo, hi, cache: seen.append((lo + 1, hi)) or (
+        crossing.ChamberTable(beta, n, (lo, hi), ((None, F(0)),), ())
     )
     shared = TableCache()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(crossing, "chamber_table", table)
-        patch.setattr(crossing, "next_wall_above", lambda model, beta, k: seen.append(k) or k + 1)
         for beta in order:  # the zero class included
             seen.clear()
             outcome = _outcome(lambda: pt_symmetry_check(model, beta, 3, shared))
             bounds, error = _bounds_or_error(model, beta, [1, 2, 3])
-            assert seen == [k for k_pt, k_dual in bounds for k in (k_dual, k_pt)]
+            right = lambda k_dual: (k_dual + next_wall_above(model, beta, k_dual)) / 2
+            assert seen == [(k_pt, right(k_dual)) for k_pt, k_dual in bounds]
             assert outcome[0] == "ok" if error is None else outcome == error
 
 
@@ -932,3 +933,31 @@ def test_every_memo_key_starts_with_its_class_and_n():
     for (beta, n, num, den), report in cache.reports.items():
         assert report.k0 == F(num, den)
         assert report == cross_wall(double, beta, n, F(num, den), F(0))[1]
+
+
+def test_the_march_reads_the_reports_its_table_filled():
+    # basis degrees 1/2 and 3/2: the walls of (1,1) sit on the grid G = 24,
+    # but each report is keyed by its wall reduced to denominator 1, 2, 3 or 4
+    cone = [(a, 0) for a in range(1, 5)] + [(0, 1), (1, 1)]
+    counts = (((1, 0), range(1, 5), 1), ((0, 1), range(1, 4), 1), ((2, 0), (1, 3), -1),
+              ((1, 1), (2, 4), 2))
+    model = NumericalThreefold(
+        basis=(("C1", F(1, 2)), ("C2", F(3, 2))),
+        omega_cubed=F(6),
+        m_table={CurveClass(g): F(1) for g in cone},
+        n_table={(s * n, CurveClass(g)): F(v) for g, ns, v in counts for n in ns for s in (1, -1)},
+        p_seed=_SeedEverywhere(),
+    )
+    cache = TableCache()
+    tables = [chamber_table(model, PAIR_BETA, n, -n, 3 - n, cache) for n in (2, 3)]
+    assert cache.grids[PAIR_BETA][0] == 24
+    walls = [chamber.hi for table in tables for chamber, _ in table.entries[:-1]]
+    assert {w.denominator for w in walls} == {1, 2, 3, 4}
+    assert all(len(set(v for _, v in table.entries)) > 2 for table in tables)
+    size = len(cache.reports)
+    for table in tables:
+        for (left, left_value), (_, right_value) in zip(table.entries, table.entries[1:]):
+            w = left.hi
+            assert invariant_value(model, PAIR_BETA, table.n, w, False, cache) == left_value
+            assert invariant_value(model, PAIR_BETA, table.n, w, True, cache) == right_value
+    assert len(cache.reports) == size
