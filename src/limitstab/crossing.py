@@ -52,7 +52,7 @@ from .geometry import CurveClass, NumericalThreefold, _ConeIndex, check_effectiv
 from .walls import Chamber, _chambers_of, _grid_walls, _next_above, _wall_grid, _walls_in
 from .walls import mu_threshold
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class WallDatum(NamedTuple):
@@ -222,9 +222,8 @@ def l_at_wall(
     the side changes the march only when k0 is itself a wall of beta2; off
     the wall set both sides are the same chamber.
     """
-    cache = _bound_cache(cache, model)
-    k0 = _as_fraction(k0)
-    return _chamber_value(model, beta2, n2, k0, k0.numerator <= 0, cache)
+    k0 = k0 if type(k0) is Fraction else Fraction(k0)
+    return invariant_value(model, beta2, n2, k0, k0.numerator <= 0, cache)
 
 
 def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
@@ -236,7 +235,7 @@ def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
         ) from None
 
 
-def _chamber_value(
+def _march(
     model: NumericalThreefold,
     beta: CurveClass,
     n: int,
@@ -244,7 +243,7 @@ def _chamber_value(
     from_right: bool,
     cache: TableCache,
 ) -> Fraction:
-    """March the jump law from the seed chamber up to k.
+    """March the jump law from the seed chamber up to k, on a memo miss.
 
     L(0, n) = delta_{n,0}, unmemoized.  Otherwise crosses every wall w with
     k_pt <= w < k, plus w = k itself when the value just right of k is
@@ -252,11 +251,8 @@ def _chamber_value(
     (the seed law), so starting the march at k_pt is exact.  The walls are
     the ints j of beta's grid (G, steps), compared with k on ints.
     """
-    key = (beta, n, k.numerator, k.denominator, from_right)
-    if (value := cache.values.get(key)) is not None:
-        return value
     if beta.is_zero():
-        return Fraction(1) if n == 0 else Fraction(0)
+        return _ONE if n == 0 else _ZERO
     # a bad class is an argument error before its seed lookup; checked on a miss only
     check_effective(model, beta)
     value = _seed(model, beta, n)
@@ -267,7 +263,7 @@ def _chamber_value(
             g = math.gcd(j, G)
             if total := _wall_total(model, beta, n, j // g, G // g, cache).total:
                 value -= total
-    cache.values[key] = value
+    cache.values[(beta, n, k.numerator, k.denominator, from_right)] = value
     return value
 
 
@@ -307,9 +303,17 @@ def invariant_value(
     from_right: bool = False,
     cache: Optional[TableCache] = None,
 ) -> Fraction:
-    """Chamber value of L(beta, n) at k; the side matters only on a wall."""
-    cache = _bound_cache(cache, model)
-    return _chamber_value(model, beta, n, _as_fraction(k), from_right, cache)
+    """Chamber value of L(beta, n) at k; the side matters only on a wall.
+
+    A memo hit is two guards and one probe of ``cache.values``.
+    """
+    if cache is None or cache._model is not model:
+        cache = _bound_cache(cache, model)
+    if type(k) is not Fraction:
+        k = Fraction(k)
+    if (value := cache.values.get((beta, n, k.numerator, k.denominator, from_right))) is None:
+        value = _march(model, beta, n, k, from_right, cache)
+    return value
 
 
 def cross_wall(

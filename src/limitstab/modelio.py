@@ -21,7 +21,8 @@ Example::
     1 (1,1) = 1
     -1 (1,1) = 0
 
-Classes are integer coefficient tuples ``(a,b,...)`` over the basis order;
+Classes are integer coefficient tuples ``(a,b,...)`` over the basis order,
+each coordinate an optional ``-`` and decimal digits, spaces around it allowed;
 rationals are ``p/q`` strings (or bare integers) and render in lowest terms.
 ``[n_table]`` and ``[p_seed]`` lines carry the integer n before the class.
 Parse errors name the offending line; validation errors name the violated
@@ -67,8 +68,11 @@ def parse_class(text: str, line: int | None = None) -> CurveClass:
     if text == "":
         raise ModelParseError("empty class tuple", line)
     try:
+        # int() reads parse_rational's -?\d+ but also a + sign and _ between digits
+        if "+" in text or "_" in text:
+            raise ValueError
         return _int_class(tuple(map(int, text.split(","))))
-    except ValueError:
+    except ValueError:  # also a coordinate with more digits than int() reads
         raise ModelParseError(f"malformed class tuple {text!r}", line) from None
 
 

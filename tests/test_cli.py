@@ -374,6 +374,12 @@ def test_model_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def test_a_class_coordinate_int_would_read_is_a_usage_error(capsys):
+    for beta in ("1_0", "+1", "1,x"):
+        assert run_cli("mu", "--preset", "conifold_single:1", "--beta", beta, "--n", "1") == (2, "")
+        assert capsys.readouterr().err == f"usage error: malformed class tuple {beta!r}\n"
+
+
 def test_module_entry_point_runs():
     proc = _child_python("-m", "limitstab", "verify")
     assert proc.returncode == 0

@@ -243,6 +243,21 @@ def test_pt_symmetry_check_reads_right_of_a_positive_k_dual():
     assert (row.p_plus, row.relation_defect) == (0, 0)
 
 
+def test_the_symmetry_defect_subtracts_a_nonzero_dual_seed():
+    # every preset stores P(-n) = 0, so p_plus - p_minus and p_plus + p_minus agree there
+    model = NumericalThreefold(
+        basis=[("C", 1)],
+        omega_cubed=6,
+        m_table={C1_: F(1)},
+        n_table={(1, C1_): F(1), (-1, C1_): F(1)},
+        p_seed={(1, C1_): F(3), (-1, C1_): F(2)},
+    )
+    (row,) = pt_symmetry_check(model, C1_, 1).rows
+    assert (row.p_plus, row.p_minus_derived, row.p_minus_seed, row.count) == (3, 2, 2, 1)
+    # (3 - 2) - 1 * 1 = 0, where (3 + 2) - 1 would give 4
+    assert row.relation_defect == 0
+
+
 def test_dual_side_counts_vanish_for_the_double_preset():
     double = conifold_double(1)
     # dual-chamber values: the n = 3 and n = 4 tables both end at 0
@@ -753,8 +768,10 @@ def _permuted_cases(draw):
     rank = draw(st.integers(2, 3))
     basis_degrees = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(2, 3)])
     degrees = [draw(basis_degrees) for _ in range(rank)]
-    coeffs = draw(st.lists(st.integers(0, 3 - rank + 1), min_size=rank, max_size=rank))
-    assume(sum(c > 0 for c in coeffs) >= 2)
+    # at least two positive coefficients and a non-identity permutation, drawn
+    # directly: filtering them out made the health check fail at some seeds
+    positive = draw(st.sets(st.integers(0, rank - 1), min_size=2))
+    coeffs = [draw(st.integers(1, 3 - rank + 1)) if i in positive else 0 for i in range(rank)]
     bound = sum(c * d for c, d in zip(coeffs, degrees))
     cone = [
         g for g in itertools.product(*(range(int(bound / d) + 1) for d in degrees))
@@ -771,8 +788,7 @@ def _permuted_cases(draw):
         p_seed={(n, g): F((3 * n + 5 * g[0] + 2 * g[1] + 4 * g[-1]) % 7 - 3)
                 for g in box for n in range(-24, 25)},
     )
-    perm = draw(st.permutations(range(rank)))
-    assume(list(perm) != list(range(rank)))
+    perm = draw(st.sampled_from(list(itertools.permutations(range(rank)))[1:]))
     return degrees, tables, coeffs, perm, draw(st.integers(-3, 3))
 
 
@@ -900,6 +916,42 @@ def test_a_memo_hit_does_no_fraction_work(monkeypatch):
     again = cross_wall(double, C2_, 4, wall, one, cache)
     assert counts["__new__"] <= 1 and (counts["__hash__"], counts["__eq__"]) == (0, 0)
     assert again[1] is report and again[0] == l_plus
+
+
+def test_a_warm_point_query_makes_no_helper_call(monkeypatch):
+    # a memo hit is two inline guards and one probe of cache.values
+    double, cache = conifold_double(1), TableCache()
+    calls = [
+        lambda: invariant_value(double, C2_, 4, F(-7, 8), cache=cache),
+        lambda: invariant_value(double, C2_, 4, -1, True, cache),
+        lambda: l_at_wall(double, C2_, 4, F(-1), cache),
+        lambda: l_at_wall(double, C1_, 2, "1/2", cache),
+    ]
+    warm = [call() for call in calls]
+    helpers = []
+    for name in ("_bound_cache", "_as_fraction", "_march"):
+        monkeypatch.setattr(crossing, name, lambda *args, name=name: helpers.append(name))
+    assert [call() for call in calls] == warm
+    assert helpers == []
+
+
+def test_a_point_query_still_binds_and_checks_its_cache():
+    double, cache = conifold_double(1), TableCache()
+    value = invariant_value(double, C2_, 4, F(-7, 8), cache=cache)
+    assert invariant_value(double, C2_, 4, F(-7, 8)) == value
+    assert l_at_wall(double, C2_, 4, -1) == invariant_value(double, C2_, 4, -1, True)
+    # a cache bound to another model refuses it, on a memo hit as on a miss
+    for other in (conifold_double(1), conifold_single(1)):
+        with pytest.raises(ValueError, match="cannot be shared"):
+            invariant_value(other, C2_, 4, F(-7, 8), cache=cache)
+        with pytest.raises(ValueError, match="cannot be shared"):
+            l_at_wall(other, C2_, 4, F(-1), cache)
+    # the zero class reads shared constants, never a memo entry
+    zero, size = CurveClass((0,)), len(cache.values)
+    assert invariant_value(double, zero, 0, 1, cache=cache) is l_at_wall(double, zero, 0, 2, cache)
+    assert invariant_value(double, zero, 3, 1, cache=cache) is invariant_value(double, zero, -1, 0)
+    assert (invariant_value(double, zero, 0, 1), invariant_value(double, zero, 3, 1)) == (1, 0)
+    assert len(cache.values) == size
 
 
 def test_every_spelling_of_k_reads_one_memo_entry():

@@ -96,6 +96,9 @@ _LINE_ERRORS = [
     (HEAD + "[m_table]\n(1,x) = 1\n", 5, "malformed class tuple"),
     (HEAD + "[p_seed]\n(1) = 1\n", 5, "expected 'n \\(class\\) = value'"),
     (HEAD + "[n_table]\n1 (a) = 1\n", 5, "malformed class tuple"),
+    # each coordinate has a rational numerator's grammar, so int()'s extras are refused
+    (HEAD + "[m_table]\n(1_0) = 1\n", 5, "malformed class tuple '1_0'"),
+    (HEAD + "[p_seed]\n1 (+1) = 1\n", 5, "malformed class tuple '\\+1'"),
     (HEAD + "[n_table]\n1 (1) = x\n", 5, "malformed rational"),
     # texts converted on an earlier line do not hide a later bad line
     (HEAD + "[n_table]\n1 (1) = 1\n2 (1) = 1/0\n", 6, "zero denominator"),
