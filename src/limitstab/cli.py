@@ -29,7 +29,7 @@ from .crossing import (
 )
 from .errors import LimitStabError, TableArgumentError
 from .geometry import check_effective
-from .modelio import format_rational, load_model, parse_class, parse_rational
+from .modelio import format_rational, load_model, parse_class, parse_int, parse_rational
 from .presets import PRESET_NAMES, build_preset
 from .render import render_report, render_svg, render_text
 from .verify import run_verification
@@ -40,18 +40,19 @@ class UsageError(Exception):
     pass
 
 
-def _usage(parse):
-    """``parse`` with the errors it raises reported as usage errors."""
+def _usage(parse, error=UsageError):
+    """``parse`` with the errors it raises reported as ``error``s, usage errors by default."""
     def convert(text: str):
         try:
             return parse(text)
         except LimitStabError as exc:
-            raise UsageError(str(exc)) from None
+            raise error(str(exc)) from None
     return convert
 
 
 _parse_rational_arg = _usage(parse_rational)
 _parse_beta = _usage(parse_class)
+_parse_int_arg = _usage(parse_int, argparse.ArgumentTypeError)  # argparse's type of --n, --n-max
 
 
 def _parse_range(text: str) -> Tuple[Fraction, Fraction]:
@@ -222,8 +223,8 @@ _OPTIONS = {
     "--k": (dict(
         required=True, help="rational twist parameter (compare) or wall position k0 (cross)",
     ), _parse_rational_arg),
-    "--n": (dict(required=True, type=int), None),
-    "--n-max": (dict(required=True, type=int), None),
+    "--n": (dict(required=True, type=_parse_int_arg), None),
+    "--n-max": (dict(required=True, type=_parse_int_arg), None),
     "--format": (dict(choices=("text", "svg"), default="text"), None),
 }
 

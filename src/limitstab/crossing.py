@@ -109,9 +109,9 @@ class TableCache:
     one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
     key starts with the (beta, n) it belongs to.  ``splits`` and ``m`` are
     filled by the wall-datum fill, whose tests read only their ints, and by
-    the seed bounds of ``chamber_table`` and ``pt_symmetry_check``.  A cache
-    binds to the first model it serves and refuses any other, so the cone
-    index built at that first bind always answers for the right model.
+    the seed bounds of every table and every sub-table a fill marches.  A
+    cache binds to the first model it serves and refuses any other, so the
+    cone index built at that first bind always answers for the right model.
     Entries are deterministic functions of that model, but the cone index
     grows its lists in place, so two threads growing it at once can corrupt
     it: confine one cache to one thread.
@@ -218,12 +218,18 @@ def l_at_wall(
 
     delta_{n2,0} for beta2 = 0, otherwise the chamber value on the side of k0
     toward k = 0, taken from the sign of k0 alone: the right-hand side for
-    k0 <= 0, the left-hand side for k0 > 0.  No wall test is needed, since
-    the side changes the march only when k0 is itself a wall of beta2; off
-    the wall set both sides are the same chamber.
+    k0 <= 0, the left-hand side for k0 > 0 (no wall test: off the wall set
+    of beta2 both sides are one chamber).  A hit is one memo probe, as in
+    ``invariant_value``; a miss takes its seed bound from the cache.
     """
-    k0 = k0 if type(k0) is Fraction else Fraction(k0)
-    return invariant_value(model, beta2, n2, k0, k0.numerator <= 0, cache)
+    if cache is None or cache._model is not model:
+        cache = _bound_cache(cache, model)
+    if type(k0) is not Fraction:
+        k0 = Fraction(k0)
+    side = k0.numerator <= 0
+    if (value := cache.values.get((beta2, n2, k0.numerator, k0.denominator, side))) is None:
+        value = _march(model, beta2, n2, k0, side, cache, cached_mu=True)
+    return value
 
 
 def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
@@ -242,21 +248,23 @@ def _march(
     k: Fraction,
     from_right: bool,
     cache: TableCache,
+    cached_mu: bool,
 ) -> Fraction:
     """March the jump law from the seed chamber up to k, on a memo miss.
 
     L(0, n) = delta_{n,0}, unmemoized.  Otherwise crosses every wall w with
     k_pt <= w < k, plus w = k itself when the value just right of k is
     wanted.  Walls below k_pt carry no admissible data with a nonzero jump
-    (the seed law), so starting the march at k_pt is exact.  The walls are
-    the ints j of beta's grid (G, steps), compared with k on ints.
+    (the seed law), so the march starts at k_pt: ``_mu``'s for a fill's read
+    (``cached_mu``), ``mu_threshold``'s otherwise.  The walls are the ints j
+    of beta's grid (G, steps), compared with k on ints.
     """
     if beta.is_zero():
         return _ONE if n == 0 else _ZERO
     # a bad class is an argument error before its seed lookup; checked on a miss only
     check_effective(model, beta)
     value = _seed(model, beta, n)
-    k_pt = -mu_threshold(model, beta, n) / 2
+    k_pt = -(_mu(model, beta, n, cache) if cached_mu else mu_threshold(model, beta, n)) / 2
     G, _ = grid = _grid(model, beta, cache)
     for j in _grid_walls(grid, k_pt, k):  # every wall j/G in [k_pt, k]
         if from_right or j * k.denominator < k.numerator * G:
@@ -312,7 +320,7 @@ def invariant_value(
     if type(k) is not Fraction:
         k = Fraction(k)
     if (value := cache.values.get((beta, n, k.numerator, k.denominator, from_right))) is None:
-        value = _march(model, beta, n, k, from_right, cache)
+        value = _march(model, beta, n, k, from_right, cache, cached_mu=False)
     return value
 
 
@@ -353,11 +361,8 @@ class ChamberTable(NamedTuple):
 
     def effective_walls(self) -> Tuple[Fraction, ...]:
         """Walls where the value actually jumps."""
-        out = []
-        for (ca, va), (cb, vb) in zip(self.entries, self.entries[1:]):
-            if va != vb:
-                out.append(ca.hi)
-        return tuple(out)
+        pairs = zip(self.entries, self.entries[1:])
+        return tuple(ca.hi for (ca, va), (_, vb) in pairs if va != vb)
 
     def merged(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
         """Runs of equal value: (lo, hi, value), consecutive chambers fused."""
@@ -483,11 +488,5 @@ def hn_sort(
         if shape(ch) != "sheaf":
             raise TableArgumentError(f"hn_sort takes sheaf-type classes only, got {ch}")
         groups.setdefault(slope(model, ch, k), []).append(ch)
-    out = []
-    for mu in sorted(groups, reverse=True):
-        members = sorted(
-            groups[mu],
-            key=lambda c: (model.degree_vector(c.gamma), c.n, c.gamma),
-        )
-        out.append(members)
-    return out
+    key = lambda c: (model.degree_vector(c.gamma), c.n, c.gamma)
+    return [sorted(groups[mu], key=key) for mu in sorted(groups, reverse=True)]

@@ -40,8 +40,20 @@ from .geometry import CurveClass, NumericalThreefold, _int_class
 
 _SECTIONS = ("basis", "m_table", "n_table", "p_seed")
 _SCALARS = ("omega_cubed", "c2_omega")
+_INT = r"\s*-?\d+\s*"  # an integer: an optional - and decimal digits, spaces around it
 _RATIONAL = re.compile(r"(-?\d+)\s*(?:/\s*(-?\d+))?")
 _SEEDED_KEY = re.compile(r"(-?\d+)\s+(\(.*\))")
+_TOO_LONG = "integer of {} characters exceeds int()'s digit limit"
+
+
+def parse_int(text: str, line: int | None = None) -> int:
+    """One ``_INT``, as a class coordinate; int() alone also reads + and _."""
+    try:
+        if re.fullmatch(_INT, text):
+            return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ModelParseError(_TOO_LONG.format(len(text)), line) from None
+    raise ModelParseError(f"invalid int value: {text!r}", line)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
@@ -49,8 +61,8 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
     m = _RATIONAL.fullmatch(text)
     if not m:
         raise ModelParseError(f"malformed rational {text!r}", line)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    num = parse_int(m.group(1), line)
+    den = parse_int(m.group(2), line) if m.group(2) is not None else 1
     if den == 0:
         raise ModelParseError(f"malformed rational {text!r} (zero denominator)", line)
     return Fraction(num, den)
@@ -68,7 +80,7 @@ def parse_class(text: str, line: int | None = None) -> CurveClass:
     if text == "":
         raise ModelParseError("empty class tuple", line)
     try:
-        # int() reads parse_rational's -?\d+ but also a + sign and _ between digits
+        # int() reads an _INT but also a + sign and _ between digits
         if "+" in text or "_" in text:
             raise ValueError
         return _int_class(tuple(map(int, text.split(","))))
@@ -124,7 +136,10 @@ def _read(text: str, tables: Dict[Optional[str], dict]) -> Optional[tuple]:
                         f"expected 'n (class) = value' in [{section}], got {line!r}",
                         lineno,
                     )
-                n, class_text = int(m[1]), m[2]
+                try:
+                    n, class_text = int(m[1]), m[2]
+                except ValueError:  # more digits than int() reads
+                    raise ModelParseError(_TOO_LONG.format(len(m[1])), lineno) from None
             gamma = classes.get(class_text)
             if gamma is None:
                 gamma = classes[class_text] = parse_class(class_text, lineno)

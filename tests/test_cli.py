@@ -380,6 +380,48 @@ def test_a_class_coordinate_int_would_read_is_a_usage_error(capsys):
         assert capsys.readouterr().err == f"usage error: malformed class tuple {beta!r}\n"
 
 
+def test_n_and_n_max_take_the_class_coordinate_grammar(capsys):
+    # int() alone reads 1_0 as 10 and " +1" as 1
+    for command, option in (("mu", "--n"), ("series", "--n-max")):
+        argv = (command, "--preset", "conifold_single:1", "--beta", "1", option)
+        for text in ("1_0", " +1"):
+            with pytest.raises(SystemExit) as info:
+                run_cli(*argv, text)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+        # spaces around the digits are part of the grammar
+        assert run_cli(*argv, " 2 ") == run_cli(*argv, "2") != (0, "")
+
+
+def _past_the_digit_limit() -> str:
+    """An integer one digit longer than int() reads from a string."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    return "1" * (limit + 1)
+
+
+def test_a_number_past_the_digit_limit_is_a_usage_error(capsys):
+    long = _past_the_digit_limit()
+    for argv, token in (
+        (("cross", "--beta", "1", "--n", "1", "--k", long), long),
+        (("cross", "--beta", "1", "--n", "1", "--k", f"1/{long}"), long),
+        (("walls", "--beta", "1", "--range", f"-{long}:0"), f"-{long}"),
+        (("compare", "--f", f"0,0,({long}),2", "--e", "-1,0,(2),3", "--k", "-1"), long),
+    ):
+        assert run_cli(*argv, "--preset", "conifold_single:1") == (2, "")
+        assert capsys.readouterr().err == (
+            f"usage error: integer of {len(token)} characters exceeds int()'s digit limit\n"
+        )
+    with pytest.raises(SystemExit) as info:
+        run_cli("mu", "--preset", "conifold_single:1", "--beta", "1", "--n", long)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --n: integer of {len(long)} characters exceeds int()'s digit limit\n"
+    )
+
+
 def test_module_entry_point_runs():
     proc = _child_python("-m", "limitstab", "verify")
     assert proc.returncode == 0

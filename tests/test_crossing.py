@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from limitstab import crossing, walls
+from limitstab import cli, crossing, walls
 from limitstab.charge import ch_of_sheaf
 from limitstab.comparator import destabilizing_threshold
 from limitstab.crossing import (
@@ -952,6 +953,114 @@ def test_a_point_query_still_binds_and_checks_its_cache():
     assert invariant_value(double, zero, 3, 1, cache=cache) is invariant_value(double, zero, -1, 0)
     assert (invariant_value(double, zero, 0, 1), invariant_value(double, zero, 3, 1)) == (1, 0)
     assert len(cache.values) == size
+
+
+def _count_mu_threshold(monkeypatch):
+    """Record every ``walls.mu_threshold`` call as (beta, n), in each module that binds it."""
+    calls = []
+    counted = lambda model, beta, n: calls.append((beta, n)) or mu_threshold(model, beta, n)
+    for module in (crossing, walls):
+        monkeypatch.setattr(module, "mu_threshold", counted)
+    return calls
+
+
+def _series_model():
+    # rank 1 with 2[C] above [C], m = 1 and N(+-1, [C]) only, so no datum lies below k_pt
+    c, cc = CurveClass((1,)), CurveClass((2,))
+    return NumericalThreefold(
+        basis=(("C", F(1)),),
+        omega_cubed=F(6),
+        m_table={c: F(1), cc: F(1)},
+        n_table={(1, c): F(1), (-1, c): F(2)},
+        p_seed={(n, b): F(n) for n in range(-3, 4) for b in (c, cc)},
+    )
+
+
+def test_a_table_reads_every_seed_bound_from_its_cache(monkeypatch):
+    # the sub-tables that a fill reads at a wall march from the cached splits
+    # and m bounds, so no table walks the cone for a bound
+    double, pair, series = conifold_double(1), conifold_pair(3, 2), _series_model()
+    argv = ["table", "--preset", "conifold_double:1", "--beta", "2", "--n", "4", "--range", "-2:0"]
+
+    def cli_table():
+        out = io.StringIO()
+        return cli.main(argv, out=out), out.getvalue()
+
+    calls = [
+        lambda: chamber_table(double, C2_, 4, -2, 0),
+        lambda: chamber_table(pair, PAIR_BETA, 2, F(-1, 2), 0),
+        lambda: cross_wall(double, C2_, 4, -1, 1),
+        lambda: cross_wall(pair, PAIR_BETA, 2, F(-1, 4), 5),
+        lambda: pt_symmetry_check(series, C2_, 2),
+        lambda: pt_symmetry_check(conifold_single(1), C1_, 4),
+        cli_table,
+    ]
+    expected = [call() for call in calls]
+    walked = _count_mu_threshold(monkeypatch)
+    # each call on a fresh cache of its own
+    assert [call() for call in calls] == expected
+    assert walked == []
+    # the series of _series_model reads the sub-table L([C], 1) at the wall -1/2
+    cache = TableCache()
+    pt_symmetry_check(series, C2_, 2, cache)
+    assert {key[:2] for key in cache.values} == {(C1_, 1)}
+
+
+def test_a_point_query_walks_the_cone_for_its_own_bound_only(monkeypatch):
+    double, cache = conifold_double(1), TableCache()
+    expected = invariant_value(double, C2_, 4, F(-1, 2))
+    walked = _count_mu_threshold(monkeypatch)
+    # the march up to -1/2 reads L([C], 2) at the wall -1 with the cache's bound
+    assert invariant_value(double, C2_, 4, F(-1, 2), cache=cache) == expected
+    assert walked == [(C2_, 4)]
+    assert (C1_, 2, -1, 1, True) in cache.values
+    # a hit walks nothing, and neither does a fill read of a new sub-table
+    assert invariant_value(double, C2_, 4, F(-1, 2), cache=cache) == expected
+    fill = l_at_wall(double, C1_, 3, F(-1, 2), cache)
+    assert walked == [(C2_, 4)]
+    # the same point asked for directly walks for its own (beta, n)
+    assert invariant_value(double, C1_, 3, F(-1, 2), True) == fill
+    assert walked == [(C2_, 4), (C1_, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_fill_read_equals_the_point_query_on_its_side(data):
+    # fresh caches: the fill read's cached bound against mu_threshold's, errors included
+    model = data.draw(st.sampled_from(_FILL_MODELS))
+    rank = model.rank
+    beta = CurveClass(data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+    n = data.draw(st.integers(-5, 5))
+    k0 = F(data.draw(st.integers(-12, 12)), data.draw(st.sampled_from([1, 2, 4, 6, 10])))
+    fill = _outcome(lambda: l_at_wall(model, beta, n, k0))
+    assert fill == _outcome(lambda: invariant_value(model, beta, n, k0, from_right=k0 <= 0))
+
+
+def _missing_m_model():
+    # degrees A = 1, B = 2: m(B) is missing, and m(A + B) needs it
+    a, b, ab = CurveClass((1, 0)), CurveClass((0, 1)), CurveClass((1, 1))
+    return NumericalThreefold(
+        basis=(("A", F(1)), ("B", F(2))),
+        omega_cubed=F(6),
+        m_table={a: F(1), ab: F(1)},
+        n_table={(1, b): F(1), (1, a): F(1)},
+        p_seed={(1, ab): F(1), (1, a): F(1), (2, ab): F(1)},
+    )
+
+
+_FILL_MODELS = [
+    conifold_single(1), conifold_double(1), conifold_pair(3, 2),
+    _series_model(), _sparse_m_model(), _missing_m_model(),
+]
+
+
+def test_a_missing_m_entry_below_a_sub_table_names_the_same_class():
+    # at k0 = -1/4 the first split with an integral n1 is (B | A+B), and m(A+B) needs m(B)
+    model, abb = _missing_m_model(), CurveClass((1, 2))
+    message = r"^m_table has no entry for class \(0,1\) \(needed for m\(\(1,1\)\)\)$"
+    for cache in (None, TableCache()):
+        with pytest.raises(ModelDataError, match=message):
+            cross_wall(model, abb, 2, F(-1, 4), F(1), cache)
 
 
 def test_every_spelling_of_k_reads_one_memo_entry():

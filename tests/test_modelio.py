@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from limitstab.geometry import CurveClass, NumericalThreefold
 from limitstab.modelio import (
     format_rational,
     load_model,
+    parse_int,
     parse_model,
     parse_rational,
     save_model,
@@ -117,6 +119,32 @@ def test_parse_errors_carry_line_numbers():
             parse_model(text)
         assert info.value.line == line, text
         assert str(info.value).startswith(f"line {line}: "), text
+
+
+def test_a_number_past_the_digit_limit_is_a_parse_error_on_its_line():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    long = "1" * (limit + 1)
+    for text, token in (
+        (HEAD + f"[n_table]\n{long} (1) = 1\n", long),
+        (HEAD + f"[p_seed]\n-{long} (1) = 1\n", f"-{long}"),
+        (HEAD + f"[m_table]\n(1) = {long}\n", long),
+        (HEAD + f"[n_table]\n1 (1) = 1/{long}\n", long),
+        (f"omega_cubed = -{long}/3\n", f"-{long}"),
+    ):
+        line = text.count("\n")
+        message = f"line {line}: integer of {len(token)} characters exceeds int()'s digit limit"
+        with pytest.raises(ModelParseError) as info:
+            parse_model(text)
+        assert (info.value.line, str(info.value)) == (line, message)
+
+
+def test_parse_int_reads_the_class_coordinate_grammar():
+    assert [parse_int(t) for t in ("0", "-12", " 7 ", "\t-3\n")] == [0, -12, 7, -3]
+    for text in ("1_0", "+1", " +1", "", "-", "1.0", "1/2", "--1", "1 2"):
+        with pytest.raises(ModelParseError, match="^line 4: invalid int value: "):
+            parse_int(text, 4)
 
 
 def test_whole_model_errors_carry_no_line_number():
