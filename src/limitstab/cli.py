@@ -29,7 +29,8 @@ from .crossing import (
 )
 from .errors import LimitStabError, TableArgumentError
 from .geometry import check_effective
-from .modelio import format_rational, load_model, parse_class, parse_int, parse_rational
+from .modelio import format_rational, load_model, parse_class, parse_int
+from .modelio import parse_rational, parse_rational_list
 from .presets import PRESET_NAMES, build_preset
 from .render import render_report, render_svg, render_text
 from .verify import run_verification
@@ -51,6 +52,7 @@ def _usage(parse, error=UsageError):
 
 
 _parse_rational_arg = _usage(parse_rational)
+_parse_rational_list = _usage(parse_rational_list)
 _parse_beta = _usage(parse_class)
 _parse_int_arg = _usage(parse_int, argparse.ArgumentTypeError)  # argparse's type of --n, --n-max
 
@@ -69,18 +71,10 @@ def _parse_chern(text: str) -> ChernCharacter:
     """Parse 'r,c,(g1,g2,...),n' with rational entries."""
     m = re.fullmatch(r"\s*([^,()]+),([^,()]+),\(([^()]*)\),([^,()]+)\s*", text)
     if not m:
-        raise UsageError(
-            f"class must look like 'r,c,(g1,...),n', got {text!r}"
-        )
-    gamma = tuple(
-        _parse_rational_arg(p) for p in m.group(3).split(",") if p.strip() != ""
-    )
-    return ChernCharacter(
-        _parse_rational_arg(m.group(1)),
-        _parse_rational_arg(m.group(2)),
-        gamma,
-        _parse_rational_arg(m.group(4)),
-    )
+        raise UsageError(f"class must look like 'r,c,(g1,...),n', got {text!r}")
+    r, c, gamma, n = m.groups()
+    gamma = _parse_rational_list(gamma)  # read first, so its errors come before r's
+    return ChernCharacter(*map(_parse_rational_arg, (r, c)), gamma, _parse_rational_arg(n))
 
 
 def _resolve_model(args):
@@ -90,9 +84,7 @@ def _resolve_model(args):
     """
     if args.preset is not None:
         name, _, argtext = args.preset.partition(":")
-        params = tuple(
-            _parse_rational_arg(p) for p in argtext.split(",") if p.strip() != ""
-        )
+        params = _parse_rational_list(argtext)
         if args.model:
             raise UsageError("--preset and --model are mutually exclusive")
         try:

@@ -21,71 +21,83 @@ Example::
     1 (1,1) = 1
     -1 (1,1) = 0
 
-Classes are integer coefficient tuples ``(a,b,...)`` over the basis order,
-each coordinate an optional ``-`` and decimal digits, spaces around it allowed;
-rationals are ``p/q`` strings (or bare integers) and render in lowest terms.
-``[n_table]`` and ``[p_seed]`` lines carry the integer n before the class.
-Parse errors name the offending line; validation errors name the violated
-invariant.
+Every integer is an optional ``-`` and ASCII digits, spaces around it
+allowed (``_INT``).  Classes are integer coefficient tuples ``(a,b,...)``
+over the basis order; rationals are ``p/q`` strings (or bare integers) and
+render in lowest terms.  ``[n_table]`` and ``[p_seed]`` lines carry the
+integer n before the class.  Parse errors name the offending line;
+validation errors name the violated invariant.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from .errors import ModelParseError
+from .errors import LimitStabError, ModelParseError
 from .geometry import CurveClass, NumericalThreefold, _int_class
 
 _SECTIONS = ("basis", "m_table", "n_table", "p_seed")
 _SCALARS = ("omega_cubed", "c2_omega")
-_INT = r"\s*-?\d+\s*"  # an integer: an optional - and decimal digits, spaces around it
-_RATIONAL = re.compile(r"(-?\d+)\s*(?:/\s*(-?\d+))?")
-_SEEDED_KEY = re.compile(r"(-?\d+)\s+(\(.*\))")
+_INT = r"\s*(-?[0-9]+)\s*"  # every integer: an optional - and ASCII digits, spaces around it
+_RATIONAL = re.compile(rf"{_INT}(?:/{_INT})?")
+_SEEDED_KEY = re.compile(rf"{_INT}\s(\(.*\))")  # n, at least one space, (class)
+_CLASS = re.compile(rf"\s*(\()?({_INT}(?:,{_INT})*)(?(1)\))\s*")  # (a,b,...) or a,b,...
 _TOO_LONG = "integer of {} characters exceeds int()'s digit limit"
 
 
-def parse_int(text: str, line: int | None = None) -> int:
-    """One ``_INT``, as a class coordinate; int() alone also reads + and _."""
+def _int(digits: str, line: int | None) -> int:
+    """int() of an integer that ``_INT`` matched, without its spaces."""
     try:
-        if re.fullmatch(_INT, text):
-            return int(text)
+        return int(digits)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        raise ModelParseError(_TOO_LONG.format(len(text)), line) from None
-    raise ModelParseError(f"invalid int value: {text!r}", line)
+        raise ModelParseError(_TOO_LONG.format(len(digits)), line) from None
+
+
+def parse_int(text: str, line: int | None = None) -> int:
+    """One ``_INT``; int() alone also reads + and _, and any Unicode digit."""
+    m = re.fullmatch(_INT, text)
+    if m is None:
+        raise ModelParseError(f"invalid int value: {text!r}", line)
+    return _int(m[1], line)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
-    text = text.strip()
     m = _RATIONAL.fullmatch(text)
     if not m:
-        raise ModelParseError(f"malformed rational {text!r}", line)
-    num = parse_int(m.group(1), line)
-    den = parse_int(m.group(2), line) if m.group(2) is not None else 1
+        raise ModelParseError(f"malformed rational {text.strip()!r}", line)
+    num, den = _int(m[1], line), (1 if m[2] is None else _int(m[2], line))
     if den == 0:
-        raise ModelParseError(f"malformed rational {text!r} (zero denominator)", line)
+        raise ModelParseError(f"malformed rational {text.strip()!r} (zero denominator)", line)
     return Fraction(num, den)
 
 
+def parse_rational_list(text: str) -> Tuple[Fraction, ...]:
+    """The rationals of a comma list: a blank list has none, and an empty entry is malformed."""
+    return tuple(map(parse_rational, text.split(","))) if text.strip() else ()
+
+
 def format_rational(x: Fraction) -> str:
-    x = x if type(x) is Fraction else Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x)
+    except ValueError:  # str() of an int has the digit limit of int() of a str
+        raise LimitStabError("a result exceeds str()'s digit limit") from None
 
 
 def parse_class(text: str, line: int | None = None) -> CurveClass:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    if text == "":
-        raise ModelParseError("empty class tuple", line)
+    m = _CLASS.fullmatch(text)
+    if m is None:
+        text = text.strip()
+        if text.startswith("(") and text.endswith(")"):
+            text = text[1:-1]
+        what = f"malformed class tuple {text!r}" if text else "empty class tuple"
+        raise ModelParseError(what, line)
+    coordinates = m[2].split(",")
     try:
-        # int() reads an _INT but also a + sign and _ between digits
-        if "+" in text or "_" in text:
-            raise ValueError
-        return _int_class(tuple(map(int, text.split(","))))
-    except ValueError:  # also a coordinate with more digits than int() reads
-        raise ModelParseError(f"malformed class tuple {text!r}", line) from None
+        return _int_class(tuple(map(int, coordinates)))
+    except ValueError:  # past the digit limit, or \x1c-\x1f (\s, but not int()'s spaces) at a digit
+        return _int_class(tuple(parse_int(c, line) for c in coordinates))
 
 
 def _duplicate(section: Optional[str], key, line: int, first: int) -> ModelParseError:
@@ -132,14 +144,12 @@ def _read(text: str, tables: Dict[Optional[str], dict]) -> Optional[tuple]:
             if seeded:
                 m = _SEEDED_KEY.fullmatch(key)
                 if not m:
-                    raise ModelParseError(
-                        f"expected 'n (class) = value' in [{section}], got {line!r}",
-                        lineno,
-                    )
+                    what = f"expected 'n (class) = value' in [{section}], got {line!r}"
+                    raise ModelParseError(what, lineno)
                 try:
                     n, class_text = int(m[1]), m[2]
-                except ValueError:  # more digits than int() reads
-                    raise ModelParseError(_TOO_LONG.format(len(m[1])), lineno) from None
+                except ValueError:  # past int()'s digit limit, which _int reports
+                    n, class_text = _int(m[1], lineno), m[2]
             gamma = classes.get(class_text)
             if gamma is None:
                 gamma = classes[class_text] = parse_class(class_text, lineno)
@@ -206,9 +216,7 @@ def serialize_model(model: NumericalThreefold) -> str:
     for section, table in (("n_table", model.n_table), ("p_seed", model.p_seed)):
         lines += ["", f"[{section}]"]
         for n, gamma in sorted(table, key=lambda e: (e[1].coeffs, e[0])):
-            lines.append(
-                f"{n} {gamma} = {format_rational(table[(n, gamma)])}"
-            )
+            lines.append(f"{n} {gamma} = {format_rational(table[(n, gamma)])}")
     return "\n".join(lines) + "\n"
 
 

@@ -375,9 +375,54 @@ def test_model_error_exit_code(tmp_path, capsys):
 
 
 def test_a_class_coordinate_int_would_read_is_a_usage_error(capsys):
-    for beta in ("1_0", "+1", "1,x"):
+    for beta in ("1_0", "+1", "1,x", "\u0661", "1,\uff11"):
         assert run_cli("mu", "--preset", "conifold_single:1", "--beta", beta, "--n", "1") == (2, "")
         assert capsys.readouterr().err == f"usage error: malformed class tuple {beta!r}\n"
+
+
+def test_a_non_ascii_digit_is_a_one_line_usage_error(capsys):
+    two = "\u0662"  # ARABIC-INDIC DIGIT TWO, which int() reads as 2
+    for argv, message in (
+        (("mu", "--preset", "conifold_single:1", "--beta", two, "--n", "2"),
+         f"malformed class tuple {two!r}"),
+        (("cross", "--preset", "conifold_single:1", "--beta", "1", "--n", "1", "--k", f"-1/{two}"),
+         f"malformed rational '-1/{two}'"),
+        (("table", "--preset", "conifold_single:1", "--beta", "1", "--n", "1", "--range", f"-{two}:0"),
+         f"malformed rational '-{two}'"),
+        (("compare", "--preset", "conifold_pair:3,2", "--f", f"0,0,(1,{two}),1/2",
+          "--e", "-1,0,(1,1),2", "--k", "-1"), f"malformed rational {two!r}"),
+        (("mu", "--preset", f"conifold_single:{two}", "--beta", "1", "--n", "2"),
+         f"malformed rational {two!r}"),
+    ):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    # argparse converts --n and --n-max: its usage lines, then one error line
+    for command, option in (("mu", "--n"), ("series", "--n-max")):
+        with pytest.raises(SystemExit) as info:
+            run_cli(command, "--preset", "conifold_single:1", "--beta", "1", option, two)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and err.count("error:") == 1
+        assert err.endswith(f"error: argument {option}: invalid int value: {two!r}\n")
+
+
+def test_an_empty_list_entry_is_a_usage_error_and_a_blank_list_is_empty(capsys):
+    compare = ("compare", "--e", "-1,0,(1,1),2", "--k", "-1")
+    for argv in (
+        compare + ("--preset", "conifold_pair:3,2", "--f", "0,0,(1,,0),1/2"),
+        compare + ("--preset", "conifold_pair:3,2", "--f", "0,0,(1,0,),1/2"),
+        compare + ("--preset", "conifold_pair:3,,2", "--f", "0,0,(1,0),1/2"),
+        compare + ("--preset", "conifold_pair:,3,2,", "--f", "0,0,(1,0),1/2"),
+    ):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == "usage error: malformed rational ''\n"
+    # a blank list has no entries: the preset's defaults, and a rank-0 vector
+    for blank, preset, beta in (("conifold_pair", "conifold_pair:3,2", "1,1"),
+                                ("conifold_single: ", "conifold_single:1", "1")):
+        mu = ("mu", "--beta", beta, "--n", "2")
+        assert run_cli(*mu, "--preset", blank) == run_cli(*mu, "--preset", preset)
+        assert capsys.readouterr().err == ""
+    assert _parse_chern("0,0,( ),-7/3") == ChernCharacter(0, 0, (), Fraction(-7, 3))
 
 
 def test_n_and_n_max_take_the_class_coordinate_grammar(capsys):
@@ -409,6 +454,9 @@ def test_a_number_past_the_digit_limit_is_a_usage_error(capsys):
         (("cross", "--beta", "1", "--n", "1", "--k", f"1/{long}"), long),
         (("walls", "--beta", "1", "--range", f"-{long}:0"), f"-{long}"),
         (("compare", "--f", f"0,0,({long}),2", "--e", "-1,0,(2),3", "--k", "-1"), long),
+        # a class coordinate names its own length, not the whole class
+        (("walls", "--beta", long, "--range", "-1:0"), long),
+        (("mu", "--beta", f" -{long} ", "--n", "1"), f"-{long}"),
     ):
         assert run_cli(*argv, "--preset", "conifold_single:1") == (2, "")
         assert capsys.readouterr().err == (
@@ -420,6 +468,13 @@ def test_a_number_past_the_digit_limit_is_a_usage_error(capsys):
     assert capsys.readouterr().err.endswith(
         f"error: argument --n: integer of {len(long)} characters exceeds int()'s digit limit\n"
     )
+
+
+def test_a_result_past_the_digit_limit_is_a_one_line_error(capsys):
+    n = "9" * (len(_past_the_digit_limit()) - 1)  # the longest --n that int() reads
+    argv = ("mu", "--preset", "conifold_single:1/1000", "--beta", "1", "--n", n)
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == "error: a result exceeds str()'s digit limit\n"
 
 
 def test_module_entry_point_runs():

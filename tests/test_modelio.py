@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitstab.errors import ModelParseError
+from limitstab.errors import LimitStabError, ModelParseError
 from limitstab.geometry import CurveClass, NumericalThreefold
 from limitstab.modelio import (
     format_rational,
     load_model,
+    parse_class,
     parse_int,
     parse_model,
     parse_rational,
+    parse_rational_list,
     save_model,
     serialize_model,
 )
@@ -132,6 +134,10 @@ def test_a_number_past_the_digit_limit_is_a_parse_error_on_its_line():
         (HEAD + f"[m_table]\n(1) = {long}\n", long),
         (HEAD + f"[n_table]\n1 (1) = 1/{long}\n", long),
         (f"omega_cubed = -{long}/3\n", f"-{long}"),
+        # a class coordinate reports its own length, not the whole class
+        (HEAD + f"[m_table]\n({long}) = 1\n", long),
+        (HEAD + "D = 1\n" + f"[n_table]\n1 (1, -{long} ) = 1\n", f"-{long}"),
+        (HEAD + f"[p_seed]\n2 ({long}) = 1\n", long),
     ):
         line = text.count("\n")
         message = f"line {line}: integer of {len(token)} characters exceeds int()'s digit limit"
@@ -142,9 +148,53 @@ def test_a_number_past_the_digit_limit_is_a_parse_error_on_its_line():
 
 def test_parse_int_reads_the_class_coordinate_grammar():
     assert [parse_int(t) for t in ("0", "-12", " 7 ", "\t-3\n")] == [0, -12, 7, -3]
-    for text in ("1_0", "+1", " +1", "", "-", "1.0", "1/2", "--1", "1 2"):
+    for text in ("1_0", "+1", " +1", "", "-", "1.0", "1/2", "--1", "1 2", "\u0663", "\uff17"):
         with pytest.raises(ModelParseError, match="^line 4: invalid int value: "):
             parse_int(text, 4)
+    # \s matches \x1c-\x1f, which int() does not strip: read, not a digit-limit error
+    assert parse_int("\x1f5\x1c") == parse_class("(\x1f5)").coeffs[0] == 5
+    assert parse_rational("1\x1f/\x1e2") == F(1, 2)
+
+
+# one Unicode decimal digit that int() reads and the grammar refuses, per script
+_NON_ASCII_DIGITS = ("\u0666", "\u096c", "\uff16")  # Arabic-Indic, Devanagari, fullwidth 6
+
+
+def test_a_non_ascii_digit_is_a_parse_error_on_its_line():
+    for six in _NON_ASCII_DIGITS:
+        for text, match in (
+            (f"omega_cubed = {six}\n", "malformed rational"),
+            (f"omega_cubed = 1/{six}\n", "malformed rational"),
+            (f"omega_cubed = 6\n[basis]\nC = {six}\n", "malformed rational"),
+            (HEAD + f"[m_table]\n({six}) = 1\n", "malformed class tuple"),
+            (HEAD + f"[n_table]\n{six} (1) = 1\n", "expected 'n \\(class\\) = value'"),
+            (HEAD + f"[n_table]\n1 ({six}) = 1\n", "malformed class tuple"),
+            (HEAD + f"[p_seed]\n{six} (1) = 1\n", "expected 'n \\(class\\) = value'"),
+            (HEAD + f"[p_seed]\n1 (1,{six}) = 1\n", "malformed class tuple"),
+        ):
+            line = text.count("\n")
+            with pytest.raises(ModelParseError, match=f"^line {line}: {match}"):
+                parse_model(text)
+        with pytest.raises(ModelParseError, match="malformed rational"):
+            parse_rational(f"{six}/{six}")
+
+
+def test_a_comma_list_has_no_entry_when_blank_and_no_empty_entry():
+    assert parse_rational_list("") == parse_rational_list(" \t") == ()
+    assert parse_rational_list(" 1, -3/6 ") == (1, F(-1, 2))
+    for text in (",", "1,", ",1", "1,,1", "1, ,1"):
+        with pytest.raises(ModelParseError, match="^malformed rational ''$"):
+            parse_rational_list(text)
+
+
+def test_a_result_past_the_digit_limit_is_one_engine_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    assert format_rational(F(10 ** limit - 1, 7)) == f"{10 ** limit - 1}/7"
+    for x in (F(10 ** limit), F(1, 10 ** limit)):
+        with pytest.raises(LimitStabError, match="^a result exceeds str\\(\\)'s digit limit$"):
+            format_rational(x)
 
 
 def test_whole_model_errors_carry_no_line_number():

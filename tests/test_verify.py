@@ -68,3 +68,26 @@ def test_a_broken_mirror_fails_only_the_mirror_check(monkeypatch):
             ("FAIL", "conifold_double(d=1)"),
         )
     ]
+
+
+def test_every_memoised_read_above_its_dual_bound_equals_the_dual_seed():
+    """The dual-side seed law on sub-tables, checked here and not by ``verify``.
+
+    L(beta, n) equals the dual seed P(-n, beta) above k_dual = mu(beta, -n)/2.
+    The reference tables and their (beta, -n) mirrors, built on one cache per
+    preset, read sub-tables at points past their own k_dual; a point at
+    k_dual read from the right counts as past it.
+    """
+    checked = 0
+    for model, beta, _, rows in verify.reference_tables():
+        cache = crossing.TableCache()
+        for n, lo, hi, *_ in rows:
+            chamber_table(model, beta, n, lo, hi, cache)
+            chamber_table(model, beta, -n, -hi, -lo, cache)
+        for (b, n, num, den, from_right), value in list(cache.values.items()):
+            k, k_dual = Fraction(num, den), crossing._mu(model, b, -n, cache) / 2
+            if k > k_dual or (k == k_dual and from_right):
+                assert value == model.p_seed[(-n, b)], (model.name, b, n, k)
+                checked += 1
+    # 2 reads on conifold_pair and 5 on conifold_double
+    assert checked >= 7
