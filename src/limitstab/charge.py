@@ -47,7 +47,7 @@ class ChernCharacter(_ChernFields):
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         if len(self.gamma) != len(other.gamma):
-            raise ValueError("rank mismatch between Chern characters")
+            raise TableArgumentError("rank mismatch between Chern characters")
         return ChernCharacter(
             self.r + other.r,
             self.c + other.c,
@@ -181,15 +181,15 @@ def slope(model: NumericalThreefold, ch: ChernCharacter, k):
     is not a nonzero sheaf class and is rejected.
     """
     if ch.r != 0 or ch.c != 0:
-        raise ValueError("slope is defined only for r = c = 0 classes")
+        raise TableArgumentError("slope is defined only for r = c = 0 classes")
     deg = model.degree_vector(ch.gamma)
     if any(g != 0 for g in ch.gamma):
         if deg <= 0:
-            raise ValueError("sheaf class must have positive degree")
+            raise TableArgumentError("sheaf class must have positive degree")
         return Fraction(ch.n, 1) / deg - Fraction(k)
     if ch.n > 0:
         return POINT_SLOPE
-    raise ValueError("class with gamma = 0, n <= 0 is not a nonzero sheaf class")
+    raise TableArgumentError("class with gamma = 0, n <= 0 is not a nonzero sheaf class")
 
 
 def untwisted_slope(model: NumericalThreefold, ch: ChernCharacter):

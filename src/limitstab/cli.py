@@ -87,10 +87,7 @@ def _resolve_model(args):
         params = _parse_rational_list(argtext)
         if args.model:
             raise UsageError("--preset and --model are mutually exclusive")
-        try:
-            return build_preset(name.strip(), params)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return build_preset(name.strip(), params)
     path = args.model or os.environ.get("LIMITSTAB_MODEL")
     if path:
         try:
@@ -119,13 +116,6 @@ def _cmd_mu(model, args, out):
 
 def _cmd_compare(model, args, out):
     ch_f, ch_e, k = args.f, args.e, args.k
-    for label, ch in (("F", ch_f), ("E", ch_e)):
-        if shape(ch) is None:
-            raise UsageError(f"{label} class {ch} is zero or out of scope")
-        if len(ch.gamma) != model.rank:
-            raise UsageError(
-                f"{label} class {ch} has rank {len(ch.gamma)}, model has rank {model.rank}"
-            )
     order = compare_phases(model, ch_f, ch_e, k)
     w_degree, w_leading = cross_leading_term(model, ch_f, ch_e, k)
     out.write(f"order\t{order.name.capitalize()}\n")

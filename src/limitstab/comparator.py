@@ -36,6 +36,7 @@ from .charge import (
     twisted_invariants,
     untwisted_slope,
 )
+from .errors import TableArgumentError
 from .geometry import NumericalThreefold
 
 
@@ -48,10 +49,20 @@ class PhaseOrder(enum.Enum):
         return PhaseOrder(-self.value)
 
 
-def _require_in_scope(ch: ChernCharacter, label: str) -> str:
+def _order(lhs, rhs) -> PhaseOrder:
+    """PRECEDES, EQUAL or SUCCEEDS as ``lhs`` is below, at or above ``rhs``."""
+    return PhaseOrder((lhs > rhs) - (lhs < rhs))
+
+
+def _require_in_scope(model: NumericalThreefold, ch: ChernCharacter, label: str) -> str:
+    """The shape of ``ch``; a TableArgumentError unless it is in scope and of the model's rank."""
     s = shape(ch)
     if s is None:
-        raise ValueError(f"{label} class {ch} is zero or not of an in-scope shape")
+        raise TableArgumentError(f"{label} class {ch} is zero or out of scope")
+    if len(ch.gamma) != model.rank:
+        raise TableArgumentError(
+            f"{label} class {ch} has rank {len(ch.gamma)}, model has rank {model.rank}"
+        )
     return s
 
 
@@ -63,8 +74,8 @@ def cross_leading_term(
     W is positive for large m iff F precedes E.  The m^3 minor is tried
     first and the m minor only when it is 0.
     """
-    _require_in_scope(ch_f, "F")
-    _require_in_scope(ch_e, "E")
+    _require_in_scope(model, ch_f, "F")
+    _require_in_scope(model, ch_e, "E")
     f = twisted_invariants(model, ch_f, k)
     e = twisted_invariants(model, ch_e, k)
     m3 = (
@@ -81,12 +92,7 @@ def compare_phases(
     model: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k
 ) -> PhaseOrder:
     """Asymptotic order of phases: the sign of the leading coefficient of W."""
-    lead = cross_leading_term(model, ch_f, ch_e, k)[1]
-    if lead > 0:
-        return PhaseOrder.PRECEDES
-    if lead < 0:
-        return PhaseOrder.SUCCEEDS
-    return PhaseOrder.EQUAL
+    return _order(0, cross_leading_term(model, ch_f, ch_e, k)[1])
 
 
 def compare_phases_closed(
@@ -99,34 +105,24 @@ def compare_phases_closed(
     the twisted one.  A point-type F always succeeds: its phase is exactly 1
     and dominates the pair-type window.
     """
-    sf = _require_in_scope(ch_f, "F")
+    sf = _require_in_scope(model, ch_f, "F")
     if sf not in ("sheaf", "point"):
-        raise ValueError("closed comparison needs a sheaf- or point-type F")
-    if _require_in_scope(ch_e, "E") != "pair":
-        raise ValueError("closed comparison needs a pair-type E")
+        raise TableArgumentError("closed comparison needs a sheaf- or point-type F")
+    if _require_in_scope(model, ch_e, "E") != "pair":
+        raise TableArgumentError("closed comparison needs a pair-type E")
     if sf == "point":
         return PhaseOrder.SUCCEEDS
     k = Fraction(k)
     mu0 = untwisted_slope(model, ch_f)
-    if mu0 < -2 * k:
-        return PhaseOrder.PRECEDES
-    if mu0 > -2 * k:
-        return PhaseOrder.SUCCEEDS
+    if mu0 != -2 * k:
+        return _order(mu0, -2 * k)
     te = twisted_invariants(model, ch_e, k)
-    lhs = te.w2 * slope(model, ch_f, k)
-    if lhs < te.v3:
-        return PhaseOrder.PRECEDES
-    if lhs > te.v3:
-        return PhaseOrder.SUCCEEDS
-    return PhaseOrder.EQUAL
+    return _order(te.w2 * slope(model, ch_f, k), te.v3)
 
 
 def phase_limit(model: NumericalThreefold, ch: ChernCharacter) -> Fraction:
     """Limit of the normalized phase for m -> infinity: 1 for points, 1/2 otherwise."""
-    s = _require_in_scope(ch, "the")
-    if s == "point":
-        return Fraction(1)
-    return Fraction(1, 2)
+    return Fraction(1) if _require_in_scope(model, ch, "the") == "point" else Fraction(1, 2)
 
 
 def destabilizing_threshold(model: NumericalThreefold, ch_f: ChernCharacter) -> Fraction:
@@ -136,6 +132,6 @@ def destabilizing_threshold(model: NumericalThreefold, ch_f: ChernCharacter) -> 
     compare_phases(F, E, k) is PRECEDES for every pair-type E; at and above
     k0 it never is.  Point-type classes have no finite threshold.
     """
-    if shape(ch_f) != "sheaf":
-        raise ValueError("threshold is defined for sheaf-type classes only")
+    if _require_in_scope(model, ch_f, "F") != "sheaf":
+        raise TableArgumentError("threshold is defined for sheaf-type classes only")
     return -untwisted_slope(model, ch_f) / 2

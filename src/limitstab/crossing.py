@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
-from .errors import ModelDataError, TableArgumentError
+from .errors import ModelDataError, TableArgumentError, show
 from .geometry import CurveClass, NumericalThreefold, _ConeIndex, check_effective, decompositions
 from .walls import Chamber, _chambers_of, _grid_walls, _next_above, _wall_grid, _walls_in
 from .walls import mu_threshold
@@ -129,7 +129,7 @@ class TableCache:
         if self._model is None:
             self._model, self._cone = model, _ConeIndex(model)
         elif self._model is not model:
-            raise ValueError("a TableCache cannot be shared between models")
+            raise TableArgumentError("a TableCache cannot be shared between models")
 
 
 def _bound_cache(cache: Optional[TableCache], model: NumericalThreefold) -> TableCache:
@@ -398,7 +398,7 @@ def chamber_table(
     k_pt = -_mu(model, beta, n, cache) / 2
     if not k_lo < k_pt:
         raise TableArgumentError(
-            f"interval must start below the seed bound k_pt = {k_pt}, got k_lo = {k_lo}"
+            f"interval must start below the seed bound k_pt = {show(k_pt)}, got k_lo = {show(k_lo)}"
         )
     value = _seed(model, beta, n)
     if not k_lo < k_hi:
@@ -415,7 +415,7 @@ def chamber_table(
         if chamber.hi <= k_pt and val != entries[0][1]:
             raise ModelDataError(
                 f"model data violate the seed law: chamber {chamber} below "
-                f"k_pt = {k_pt} carries {val} != seed {entries[0][1]}"
+                f"k_pt = {show(k_pt)} carries {show(val)} != seed {show(entries[0][1])}"
             )
     return ChamberTable(beta, n, (k_lo, k_hi), tuple(entries), tuple(reports))
 

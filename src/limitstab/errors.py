@@ -14,14 +14,26 @@ class ModelDataError(LimitStabError):
 
 
 class TableArgumentError(ValueError):
-    """A table, wall set or slope threshold was asked for with a bad
-    argument, not bad model data.
+    """A caller passed a bad argument, not bad model data.
 
-    Raised for a wrong-rank class or vector, a zero or non-effective class
-    where a nonzero one is needed, an empty interval, a table interval not
-    starting below k_pt, a table point on a wall or outside the table, and a
-    non-sheaf ``hn_sort`` part.  A ValueError, so ``except ValueError`` works.
+    Raised for a wrong-rank class or vector, a sum of classes of two ranks,
+    a zero, non-effective or out-of-scope class where a table, ``slope`` or
+    the comparator needs another, an empty interval, a table interval not
+    starting below k_pt, a table point on a wall or outside the table, a
+    non-sheaf ``hn_sort`` part, a bad preset name, argument count or degree,
+    and a TableCache bound to another model.  The CLI reports it as a usage
+    error, exit code 2.  A ValueError, so ``except ValueError`` works.  Out
+    of scope: a ``k`` that Fraction() cannot coerce (NaN, +-inf, not a
+    number) raises Fraction's own error, an OverflowError for +-inf.
     """
+
+
+def show(x) -> str:
+    """``str(x)`` of a number, or its size in bits when str() refuses it."""
+    try:
+        return str(x)
+    except ValueError:  # str() of an int has the digit limit of int() of a str
+        return f"<{max(x.numerator.bit_length(), x.denominator.bit_length())}-bit number>"
 
 
 class ModelParseError(LimitStabError):

@@ -57,12 +57,12 @@ class CurveClass(_CurveClassFields):
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         if self.rank != other.rank:
-            raise ValueError("rank mismatch between curve classes")
+            raise TableArgumentError("rank mismatch between curve classes")
         return CurveClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
         if self.rank != other.rank:
-            raise ValueError("rank mismatch between curve classes")
+            raise TableArgumentError("rank mismatch between curve classes")
         return CurveClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __str__(self) -> str:

@@ -33,16 +33,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
+from .errors import TableArgumentError
 from .geometry import CurveClass, NumericalThreefold
 
 
 def _conifold(name, basis, counts, seeds) -> NumericalThreefold:
-    """The model on ``basis`` with the three shared rules applied once.
+    """The model on ``basis`` (positive degrees) with the three shared rules applied once.
 
     ``counts`` and ``seeds`` map (n, coefficients) to N(n, beta') and
     P(n, beta') for n > 0.  m = 1 on each basis curve, each count is stored
     at n and at -n, and each seed P(n, beta') comes with P(-n, beta') = 0.
     """
+    if any(d <= 0 for _, d in basis):
+        raise TableArgumentError("degree must be positive")
     rank = len(basis)
     return NumericalThreefold(
         basis=basis,
@@ -60,8 +63,6 @@ def _conifold(name, basis, counts, seeds) -> NumericalThreefold:
 def conifold_single(d=1) -> NumericalThreefold:
     """One rigid rational curve C of degree d; beta = [C] is irreducible."""
     d = Fraction(d)
-    if d <= 0:
-        raise ValueError("degree must be positive")
     return _conifold(
         f"conifold_single(d={d})",
         (("C", d),),
@@ -77,7 +78,7 @@ def conifold_pair(d1=3, d2=2) -> NumericalThreefold:
     """
     d1, d2 = Fraction(d1), Fraction(d2)
     if not d1 > d2 > 0:
-        raise ValueError("conifold_pair requires d1 > d2 > 0")
+        raise TableArgumentError("conifold_pair requires d1 > d2 > 0")
     return _conifold(
         f"conifold_pair(d1={d1},d2={d2})",
         (("C1", d1), ("C2", d2)),
@@ -89,8 +90,6 @@ def conifold_pair(d1=3, d2=2) -> NumericalThreefold:
 def conifold_double(d=1) -> NumericalThreefold:
     """One rigid rational curve C of degree d; beta = 2[C] is a doubled class."""
     d = Fraction(d)
-    if d <= 0:
-        raise ValueError("degree must be positive")
     return _conifold(
         f"conifold_double(d={d})",
         (("C", d),),
@@ -107,8 +106,8 @@ def build_preset(name: str, args: Tuple[Fraction, ...]) -> NumericalThreefold:
     """Instantiate a preset from its name and positional degree arguments."""
     make = _PRESETS.get(name)
     if make is None:
-        raise ValueError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    params = make.__code__.co_varnames[: make.__code__.co_argcount]
-    if len(args) > len(params):
-        raise ValueError(f"too many arguments for {name}({', '.join(params)}): got {len(args)}")
+        raise TableArgumentError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    params = ", ".join(make.__code__.co_varnames[: make.__code__.co_argcount])
+    if len(args) > make.__code__.co_argcount:
+        raise TableArgumentError(f"too many arguments for {name}({params}): got {len(args)}")
     return make(*args)

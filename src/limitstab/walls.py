@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import TableArgumentError
+from .errors import TableArgumentError, show
 from .geometry import (
     CurveClass, NumericalThreefold, _scaled_degrees, check_effective, decompositions, min_ch3
 )
@@ -62,8 +62,8 @@ class Chamber(NamedTuple):
         return (self.lo is None or k > self.lo) and (self.hi is None or k < self.hi)
 
     def __str__(self) -> str:
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
+        lo = "-inf" if self.lo is None else show(self.lo)
+        hi = "+inf" if self.hi is None else show(self.hi)
         return f"({lo}, {hi})"
 
 

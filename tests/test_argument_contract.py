@@ -1,0 +1,101 @@
+"""Every bad argument to the public API raises TableArgumentError with its text.
+
+One row per call: the call, and the whole message it must raise.  A bare
+ValueError fails a row, so does any other text.
+"""
+
+import re
+from fractions import Fraction as F
+
+import pytest
+
+from limitstab.charge import ChernCharacter, ch_of_pair, ch_of_points, ch_of_sheaf, slope
+from limitstab.comparator import (
+    compare_phases,
+    compare_phases_closed,
+    cross_leading_term,
+    destabilizing_threshold,
+    phase_limit,
+)
+from limitstab.crossing import TableCache, chamber_table
+from limitstab.errors import TableArgumentError
+from limitstab.geometry import CurveClass
+from limitstab.presets import build_preset, conifold_double, conifold_pair, conifold_single
+
+X = conifold_single(1)
+PAIR = ch_of_pair(CurveClass((1,)), 1)
+SHEAF = ch_of_sheaf(CurveClass((1,)), 1)
+ZERO = ChernCharacter(0, 0, (0,), 0)
+OUT_OF_SCOPE = ChernCharacter(2, 0, (0,), 0)  # a two-dimensional shift
+WRONG_RANK = ch_of_sheaf(CurveClass((1, 1)), 2)
+
+_BAD_CLASSES = (
+    ("zero", ZERO, "class 0,0,(0),0 is zero or out of scope"),
+    ("out_of_scope", OUT_OF_SCOPE, "class 2,0,(0),0 is zero or out of scope"),
+    ("wrong_rank", WRONG_RANK, "class 0,0,(1,1),2 has rank 2, model has rank 1"),
+)
+
+_COMPARATOR_CALLS = (
+    ("compare_phases_F", lambda ch: compare_phases(X, ch, PAIR, 0), "F"),
+    ("compare_phases_E", lambda ch: compare_phases(X, PAIR, ch, 0), "E"),
+    ("compare_phases_closed_F", lambda ch: compare_phases_closed(X, ch, PAIR, 0), "F"),
+    ("compare_phases_closed_E", lambda ch: compare_phases_closed(X, SHEAF, ch, 0), "E"),
+    ("cross_leading_term_F", lambda ch: cross_leading_term(X, ch, PAIR, 0), "F"),
+    ("cross_leading_term_E", lambda ch: cross_leading_term(X, PAIR, ch, 0), "E"),
+    ("phase_limit", lambda ch: phase_limit(X, ch), "the"),
+    ("destabilizing_threshold", lambda ch: destabilizing_threshold(X, ch), "F"),
+)
+
+
+def _bind_twice():
+    cache = TableCache()
+    chamber_table(X, CurveClass((1,)), 1, -1, 0, cache)
+    chamber_table(conifold_single(1), CurveClass((1,)), 1, -1, 0, cache)
+
+
+CASES = [
+    pytest.param(lambda ch=ch, call=call: call(ch), f"{label} {text}", id=f"{name}-{kind}")
+    for name, call, label in _COMPARATOR_CALLS
+    for kind, ch, text in _BAD_CLASSES
+] + [
+    pytest.param(call, text, id=name)
+    for name, call, text in (
+        ("closed_F_pair", lambda: compare_phases_closed(X, PAIR, PAIR, 0),
+         "closed comparison needs a sheaf- or point-type F"),
+        ("closed_E_sheaf", lambda: compare_phases_closed(X, SHEAF, SHEAF, 0),
+         "closed comparison needs a pair-type E"),
+        ("threshold_point", lambda: destabilizing_threshold(X, ch_of_points(1, 1)),
+         "threshold is defined for sheaf-type classes only"),
+        ("slope-zero", lambda: slope(X, ZERO, 0),
+         "class with gamma = 0, n <= 0 is not a nonzero sheaf class"),
+        ("slope-out_of_scope", lambda: slope(X, OUT_OF_SCOPE, 0),
+         "slope is defined only for r = c = 0 classes"),
+        ("slope-wrong_rank", lambda: slope(X, WRONG_RANK, 0), "rank mismatch in degree pairing"),
+        ("slope-nonpositive_degree",
+         lambda: slope(conifold_pair(3, 2), ch_of_sheaf(CurveClass((1, -2)), 0), 0),
+         "sheaf class must have positive degree"),
+        ("preset-unknown_name", lambda: build_preset("conifold_triple", ()),
+         "unknown preset 'conifold_triple'; "
+         "choose from conifold_single, conifold_pair, conifold_double"),
+        ("preset-too_many_arguments", lambda: build_preset("conifold_single", (F(1), F(2))),
+         "too many arguments for conifold_single(d): got 2"),
+        ("preset-zero_degree", lambda: build_preset("conifold_single", (F(0),)),
+         "degree must be positive"),
+        ("preset-zero_degree_double", lambda: conifold_double(0), "degree must be positive"),
+        ("preset-unordered_degrees", lambda: conifold_pair(2, 3),
+         "conifold_pair requires d1 > d2 > 0"),
+        ("curve_class_sum", lambda: CurveClass((1,)) + CurveClass((1, 0)),
+         "rank mismatch between curve classes"),
+        ("curve_class_difference", lambda: CurveClass((1,)) - CurveClass((1, 0)),
+         "rank mismatch between curve classes"),
+        ("chern_character_sum", lambda: SHEAF + WRONG_RANK,
+         "rank mismatch between Chern characters"),
+        ("cache_of_another_model", _bind_twice, "a TableCache cannot be shared between models"),
+    )
+]
+
+
+@pytest.mark.parametrize("call, message", CASES)
+def test_a_bad_argument_raises_table_argument_error(call, message):
+    with pytest.raises(TableArgumentError, match=f"^{re.escape(message)}$"):
+        call()

@@ -184,9 +184,9 @@ def test_point_slope_dominates_every_rational():
 
 def test_slope_rejects_bad_classes():
     X = model(6, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TableArgumentError):
         slope(X, ch_of_pair(CurveClass((1,)), 1), 0)
-    with pytest.raises(ValueError, match="not a nonzero sheaf class"):
+    with pytest.raises(TableArgumentError, match="not a nonzero sheaf class"):
         slope(X, ChernCharacter(F(0), F(0), (F(0),), F(-2)), 0)
 
 

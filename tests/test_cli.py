@@ -477,6 +477,19 @@ def test_a_result_past_the_digit_limit_is_a_one_line_error(capsys):
     assert capsys.readouterr().err == "error: a result exceeds str()'s digit limit\n"
 
 
+def test_a_seed_bound_past_the_digit_limit_is_a_one_line_usage_error(capsys):
+    n = "9" * (len(_past_the_digit_limit()) - 1)
+    bits = (500 * int(n)).bit_length()  # k_pt = -mu/2 = -n / (2 * 1/1000)
+    for command in ("table", "render"):
+        argv = (command, "--preset", "conifold_single:1/1000", "--beta", "1", "--n", n,
+                "--range", "-1:0")
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == (
+            f"usage error: interval must start below the seed bound k_pt = <{bits}-bit number>,"
+            " got k_lo = -1\n"
+        )
+
+
 def test_module_entry_point_runs():
     proc = _child_python("-m", "limitstab", "verify")
     assert proc.returncode == 0

@@ -20,6 +20,7 @@ from limitstab.comparator import (
     destabilizing_threshold,
     phase_limit,
 )
+from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold
 
 from _fuzz import (
@@ -80,16 +81,16 @@ def test_closed_comparison_slope_and_tie_cases():
 def test_closed_comparison_rejects_wrong_shapes():
     X = model()
     e = ch_of_pair(CurveClass((1,)), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TableArgumentError):
         compare_phases_closed(X, e, e, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TableArgumentError):
         compare_phases_closed(X, ch_of_sheaf(CurveClass((1,)), 0), ch_of_sheaf(CurveClass((1,)), 1), 0)
 
 
 def test_zero_class_is_rejected():
     X = model()
     zero = ch_of_points(1, 1) + ch_of_points(1, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TableArgumentError):
         compare_phases(X, zero, ch_of_pair(CurveClass((1,)), 1), 0)
 
 
@@ -106,7 +107,7 @@ def test_destabilizing_threshold_examples():
     assert destabilizing_threshold(X, ch_of_sheaf(CurveClass((1,)), 1)) == F(-1, 2)
     assert destabilizing_threshold(X, ch_of_sheaf(CurveClass((1,)), 2)) == F(-1)
     assert destabilizing_threshold(X, ch_of_sheaf(CurveClass((2,)), 4)) == F(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TableArgumentError):
         destabilizing_threshold(X, ch_of_points(1, 1))
 
 

@@ -189,7 +189,7 @@ def test_cache_refuses_a_second_model(monkeypatch):
         assert call(single, cache) == call(single, None), name
         assert made[-1] == name
         monkeypatch.undo()
-        with pytest.raises(ValueError, match="shared between models"):
+        with pytest.raises(TableArgumentError, match="shared between models"):
             call(conifold_single(2), cache)
 
 
@@ -943,9 +943,9 @@ def test_a_point_query_still_binds_and_checks_its_cache():
     assert l_at_wall(double, C2_, 4, -1) == invariant_value(double, C2_, 4, -1, True)
     # a cache bound to another model refuses it, on a memo hit as on a miss
     for other in (conifold_double(1), conifold_single(1)):
-        with pytest.raises(ValueError, match="cannot be shared"):
+        with pytest.raises(TableArgumentError, match="cannot be shared"):
             invariant_value(other, C2_, 4, F(-7, 8), cache=cache)
-        with pytest.raises(ValueError, match="cannot be shared"):
+        with pytest.raises(TableArgumentError, match="cannot be shared"):
             l_at_wall(other, C2_, 4, F(-1), cache)
     # the zero class reads shared constants, never a memo entry
     zero, size = CurveClass((0,)), len(cache.values)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitstab.errors import LimitStabError, ModelParseError
+from limitstab.errors import LimitStabError, ModelParseError, TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold
 from limitstab.modelio import (
     format_rational,
@@ -303,9 +303,9 @@ def test_preset_expansion_pair():
 
 
 def test_preset_argument_validation():
-    with pytest.raises(ValueError, match="d1 > d2 > 0"):
+    with pytest.raises(TableArgumentError, match="d1 > d2 > 0"):
         conifold_pair(2, 3)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(TableArgumentError, match="positive"):
         build_preset("conifold_single", (F(0),))
-    with pytest.raises(ValueError, match="unknown preset"):
+    with pytest.raises(TableArgumentError, match="unknown preset"):
         build_preset("nonexistent", ())
