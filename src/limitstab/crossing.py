@@ -170,11 +170,17 @@ def _grid(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
 
 
 def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fraction:
-    """``mu_threshold`` from the cached splits and m bounds, read in the same split order."""
+    """``mu_threshold`` from the cached split and m ints, in split order, making one Fraction."""
     if beta.is_zero():
         raise TableArgumentError("mu threshold needs a nonzero class")
-    n = Fraction(n)
-    return max((n - _m(b2, cache)[0]) / d1 for _, d1, b2, _, _ in _splits(model, beta, cache))
+    a, b = (n if type(n) is int else Fraction(n)).as_integer_ratio()
+    top, bottom = -1, 0  # minus infinity, below every term (n - m) / (p/q) = num/den
+    for _, _, b2, p, q in _splits(model, beta, cache):
+        c, e = _m(b2, cache)[0].as_integer_ratio()
+        num, den = (a * e - c * b) * q, b * e * p
+        if num * bottom > top * den:  # den > 0 and bottom >= 0, so this is num/den > top/bottom
+            top, bottom = num, den
+    return Fraction(top, bottom)
 
 
 def enumerate_wall_data(
@@ -193,8 +199,11 @@ def enumerate_wall_data(
     remainder skips the split), and n2 >= m(beta2) or n2 <= -m(beta2) is
     n2 >= ceil(m) or -n2 >= ceil(m).
     """
-    cache = _bound_cache(cache, model)
-    k0 = _as_fraction(k0)
+    return _wall_data(model, beta, n, _as_fraction(k0), _bound_cache(cache, model))
+
+
+def _wall_data(model: NumericalThreefold, beta: CurveClass, n: int, k0: Fraction, cache):
+    """``enumerate_wall_data`` on a Fraction k0 and a cache bound to ``model``."""
     num, den = -2 * k0.numerator, k0.denominator
     out = []
     for beta1, _, beta2, p, q in _splits(model, beta, cache):
@@ -282,14 +291,15 @@ def _wall_total(
     num: int,
     den: int,
     cache: TableCache,
+    k0: Optional[Fraction] = None,
 ) -> WallReport:
-    """The report at the wall num/den, given in lowest terms as its memo key holds it."""
+    """The report at the wall num/den in lowest terms (its memo key); k0, if given, is num/den."""
     key = (beta, n, num, den)
     if (report := cache.reports.get(key)) is not None:
         return report
-    k0 = Fraction(num, den)
+    k0 = Fraction(num, den) if k0 is None else k0
     terms = []
-    for datum in enumerate_wall_data(model, beta, n, k0, cache):
+    for datum in _wall_data(model, beta, n, k0, cache):
         coeff = datum.coefficient
         # a zero coefficient, an absent or zero count skips the factor L, a zero L the product
         n_value = model.n_table.get((datum.n1, datum.beta1)) if coeff else None
@@ -335,7 +345,7 @@ def cross_wall(
     """Apply the jump law at k0 to the left-chamber value; returns (L_plus, report)."""
     cache = _bound_cache(cache, model)
     k0 = _as_fraction(k0)
-    report = _wall_total(model, beta, n, k0.numerator, k0.denominator, cache)
+    report = _wall_total(model, beta, n, k0.numerator, k0.denominator, cache, k0)
     return _as_fraction(l_minus) - report.total, report
 
 
@@ -407,12 +417,15 @@ def chamber_table(
     entries = [(chams[0], value)]
     reports = []
     for chamber in chams[1:]:
-        report = _wall_total(model, beta, n, chamber.lo.numerator, chamber.lo.denominator, cache)
+        report = _wall_total(model, beta, n, *chamber.lo.as_integer_ratio(), cache, chamber.lo)
         value -= report.total
         reports.append(report)
         entries.append((chamber, value))
+    # every report is filled first, so a fill's own error wins over the seed law
     for chamber, val in entries:
-        if chamber.hi <= k_pt and val != entries[0][1]:
+        if not chamber.hi <= k_pt:
+            break
+        if val != entries[0][1]:
             raise ModelDataError(
                 f"model data violate the seed law: chamber {chamber} below "
                 f"k_pt = {show(k_pt)} carries {show(val)} != seed {show(entries[0][1])}"

@@ -103,25 +103,32 @@ class NumericalThreefold(_ModelFields):
                 n_table=None, p_seed=None, name="custom") -> "NumericalThreefold":
         if not basis:
             raise ValueError("model needs at least one basis curve class")
-        basis = tuple((nm, Fraction(d)) for nm, d in basis)
-        omega_cubed, c2_omega = Fraction(omega_cubed), Fraction(c2_omega)
+        # a Fraction is kept (Fraction() copies it, slowly) and its sign is its numerator's
+        frac = lambda x: x if type(x) is Fraction else Fraction(x)
+        basis = tuple((nm, frac(d)) for nm, d in basis)
+        omega_cubed, c2_omega, rank = frac(omega_cubed), frac(c2_omega), len(basis)
         m_table = {} if m_table is None else m_table
         n_table = {} if n_table is None else n_table
         p_seed = {} if p_seed is None else p_seed
         for nm, d in basis:
-            if d <= 0:
+            if d.numerator <= 0:
                 raise ValueError(f"basis degree for {nm!r} must be > 0, got {d}")
-        if omega_cubed <= 0:
+        if omega_cubed.numerator <= 0:
             raise ValueError("omega_cubed must be > 0")
         for gamma in m_table:
             if not any(gamma.coeffs):
                 raise ValueError("m(0) = 0 is a convention, never stored")
-            if len(gamma.coeffs) != len(basis):
+            if len(gamma.coeffs) != rank:
                 raise ValueError(f"m_table class {gamma} has wrong rank")
         for table, label in ((n_table, "n_table"), (p_seed, "p_seed")):
             for n, gamma in table:
-                if len(gamma.coeffs) != len(basis):
+                if len(gamma.coeffs) != rank:
                     raise ValueError(f"{label} class {gamma} has wrong rank")
+        for label, table in (("m_table", m_table), ("n_table", n_table), ("p_seed", p_seed)):
+            if not set(map(type, table.values())) <= {int, Fraction}:
+                key = next(k for k, v in table.items() if type(v) not in (int, Fraction))
+                at = f"class {key}" if table is m_table else f"(n={key[0]}, beta={key[1]})"
+                raise ValueError(f"{label} value {table[key]!r} for {at} is not an int or Fraction")
         return super().__new__(cls, basis, omega_cubed, c2_omega, m_table, n_table, p_seed, name)
 
     @property

@@ -764,6 +764,69 @@ def test_table_seed_bounds_equal_pt_bounds(case):
             assert outcome[0] == "ok" if error is None else outcome == error
 
 
+_NON_INTEGERS = [F(p, q) for q in (2, 3, 4) for p in range(-2 * q, 3 * q) if math.gcd(p, q) == 1]
+
+
+@st.composite
+def _mu_cases(draw):
+    """A rank 1-3 model whose basis degrees and m values have denominators 2 to 4,
+    sometimes with one cone class left without m data."""
+    rank = draw(st.integers(1, 3))
+    degrees = [draw(st.sampled_from([d for d in _NON_INTEGERS if d > 0])) for _ in range(rank)]
+    box = [CurveClass(g) for g in itertools.product(range(3 if rank < 3 else 2), repeat=rank)]
+    deg = lambda g: sum(c * d for c, d in zip(g, degrees))
+    top = max(deg(g.coeffs) for g in box)
+    cone = [
+        CurveClass(g)
+        for g in itertools.product(*(range(int(top / d) + 1) for d in degrees))
+        if any(g) and deg(g) <= top
+    ]
+    m_table = {g: draw(st.sampled_from(_NON_INTEGERS)) for g in cone}
+    removed = draw(st.sampled_from([None, *cone]))
+    m_table.pop(removed, None)
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)), omega_cubed=F(6), m_table=m_table
+    )
+    return model, removed, [g for g in box if not g.is_zero()], draw(st.sampled_from(_NON_INTEGERS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_mu_cases())
+def test_mu_from_the_split_ints_equals_mu_threshold(case):
+    model, removed, classes, fraction_n = case
+    cache = TableCache()
+    cache.bind(model)
+    for beta in classes:
+        for n in [*range(-4, 5), fraction_n]:
+            outcome = _outcome(lambda: crossing._mu(model, beta, n, cache))
+            assert outcome == _outcome(lambda: mu_threshold(model, beta, n))
+            if outcome[0] == "ok":
+                assert type(outcome[1]) is Fraction
+            else:  # the class without m data, named as min_ch3 names it
+                assert outcome[1] is ModelDataError
+                assert outcome[2].startswith(f"m_table has no entry for class {removed} (needed for m(")
+
+
+def test_mu_on_a_warm_cache_builds_one_fraction_and_does_no_fraction_arithmetic(monkeypatch):
+    pair = NumericalThreefold(
+        basis=(("A", F(3, 2)), ("B", F(2, 3))), omega_cubed=F(6),
+        m_table={g: F(g.coeffs[0] - 2 * g.coeffs[1], 3) or F(1, 2) for g in (
+            CurveClass((a, b)) for a in range(4) for b in range(8) if a or b)},
+    )
+    cache, beta = TableCache(), CurveClass((2, 3))
+    cache.bind(pair)
+    points = [(beta, n) for n in range(-4, 5)] + [(CurveClass((1, 0)), 1), (CurveClass((0, 2)), -3)]
+    warm = [crossing._mu(pair, b, n, cache) for b, n in points]
+    assert warm == [mu_threshold(pair, b, n) for b, n in points]
+    names = ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__sub__",
+             "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "__neg__")
+    counts = _count_fraction_work(monkeypatch, names)
+    again = [crossing._mu(pair, b, n, cache) for b, n in points]
+    assert counts == {"__new__": len(points), **dict.fromkeys(names, 0)}
+    monkeypatch.undo()
+    assert again == warm
+
+
 @st.composite
 def _permuted_cases(draw):
     rank = draw(st.integers(2, 3))

@@ -254,6 +254,47 @@ def test_model_validation():
         )
 
 
+def _one_curve_model(m=F(1), n=F(1), p=F(1)):
+    """One curve of degree 1 with every table set; ``m``, ``n`` and ``p`` fill m([C]),
+    N(+-1,[C]), N(+-2,[C]) and P(-4..4,[C])."""
+    c, cc = CurveClass((1,)), CurveClass((2,))
+    return NumericalThreefold(
+        basis=(("C", 1),), omega_cubed=6, m_table={c: m, cc: F(1)},
+        n_table={(s * k, c): n for k in (1, 2) for s in (1, -1)}
+        | {(s * k, cc): F(1) for k in (1, 2, 3) for s in (1, -1)},
+        p_seed={(k, c): p for k in range(-4, 5)} | {(k, cc): F(1) for k in range(-4, 5)},
+    )
+
+
+@pytest.mark.parametrize("table, value, message", [
+    # a str or float here used to crash, or leak floats into the entries, deep in a march
+    ("m", 1.0, "m_table value 1.0 for class (1) is not an int or Fraction"),
+    ("m", "1", "m_table value '1' for class (1) is not an int or Fraction"),
+    ("n", "1", "n_table value '1' for (n=1, beta=(1)) is not an int or Fraction"),
+    ("n", 1.0, "n_table value 1.0 for (n=1, beta=(1)) is not an int or Fraction"),
+    ("p", "1", "p_seed value '1' for (n=-4, beta=(1)) is not an int or Fraction"),
+    ("p", 1.0, "p_seed value 1.0 for (n=-4, beta=(1)) is not an int or Fraction"),
+    ("p", True, "p_seed value True for (n=-4, beta=(1)) is not an int or Fraction"),
+    ("n", None, "n_table value None for (n=1, beta=(1)) is not an int or Fraction"),
+])
+def test_model_tables_hold_ints_and_fractions_only(table, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _one_curve_model(**{table: value})
+
+
+def test_int_and_fraction_table_values_give_one_table():
+    from limitstab.crossing import chamber_table
+
+    beta = CurveClass((2,))
+    tables = [
+        chamber_table(_one_curve_model(m, n, p), beta, 2, -2, 1)
+        for m, n, p in ((F(1), F(1), F(1)), (1, 1, 1), (1, F(1), 1))
+    ]
+    assert tables[0].merged() == ((-2, F(-1, 2), 1), (F(-1, 2), F(1, 2), 3), (F(1, 2), 1, 4))
+    assert tables[1] == tables[0] == tables[2]
+    assert all(type(v) is Fraction for t in tables for _, v in t.entries)
+
+
 def test_value_types_are_immutable_named_tuples():
     from limitstab.charge import ChernCharacter, twisted_invariants
     from limitstab.crossing import chamber_table, pt_symmetry_check

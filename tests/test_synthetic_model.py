@@ -23,6 +23,7 @@ overlap, so every slope-integral splitting is admissible and only the
 count table decides.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,8 +104,48 @@ def test_inconsistent_seeds_trip_the_seed_law_guard():
     # march below its seed bound, which the guard must refuse
     model = heavy_curve_model(p3_minus=F(-8), p3_plus=F(1))
     cc = CurveClass((2,))
-    with pytest.raises(ModelDataError, match="seed law"):
+    with pytest.raises(ModelDataError, match=re.escape(
+        "model data violate the seed law: chamber (1/2, 5/8) below k_pt = 5/8 carries 145/2 != seed 81/2"
+    )):
         chamber_table(model, cc, -5, F(0), F(1))
+
+
+def _replaced(model, n_table=(), p_seed=(), dropped=()):
+    """``model`` with counts and seeds added or replaced, and the seeds ``dropped`` removed."""
+    seeds = {key: v for key, v in {**model.p_seed, **dict(p_seed)}.items() if key not in dropped}
+    return NumericalThreefold(*model[:4], {**model.n_table, **dict(n_table)}, seeds, model.name)
+
+
+def test_the_seed_law_guard_names_the_first_violating_chamber():
+    # N(-1,[C]) = 1 and P(-4,[C]) = 1 add a jump of -1 at 1/4, below the one at 1/2
+    c = CurveClass((1,))
+    model = _replaced(
+        heavy_curve_model(p3_minus=F(-8), p3_plus=F(1)), n_table={(-1, c): F(1)}, p_seed={(-4, c): F(1)}
+    )
+    with pytest.raises(ModelDataError, match=re.escape(
+        "model data violate the seed law: chamber (1/4, 3/8) below k_pt = 5/8 carries 83/2 != seed 81/2"
+    )):
+        chamber_table(model, CurveClass((2,)), -5, F(0), F(1))
+
+
+def test_a_missing_sub_table_seed_at_a_later_wall_is_reported_before_the_seed_law():
+    # the fill at 3/4, above k_pt = 5/8, reads L([C], -2); every report is filled first
+    model = _replaced(heavy_curve_model(p3_minus=F(-8), p3_plus=F(1)), dropped={(-2, CurveClass((1,)))})
+    with pytest.raises(ModelDataError, match=re.escape("p_seed has no entry for (n=-2, beta=(1))")):
+        chamber_table(model, CurveClass((2,)), -5, F(0), F(1))
+
+
+def test_an_int_seeded_table_keeps_its_value_types():
+    # the first entry is the seed as stored; every later one is seed minus a Fraction total
+    model = heavy_curve_model()
+    ints = _replaced(model, p_seed={k: int(v) for k, v in model.p_seed.items() if v.denominator == 1})
+    cc = CurveClass((2,))
+    for n, lo, hi in ((5, F(-1), F(0)), (-5, F(0), F(1))):
+        table, reference = chamber_table(ints, cc, n, lo, hi), chamber_table(model, cc, n, lo, hi)
+        assert table == reference
+        seed_type = type(ints.p_seed[(n, cc)])
+        assert [type(v) for _, v in table.entries] == [seed_type] + [Fraction] * (len(table.entries) - 1)
+    assert type(ints.p_seed[(5, cc)]) is int and type(ints.p_seed[(-5, cc)]) is Fraction
 
 
 def negative_m_model():
