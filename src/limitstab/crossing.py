@@ -43,13 +43,14 @@ or hits the beta2 = 0 base case.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError, show
-from .geometry import CurveClass, NumericalThreefold, _ConeIndex, check_effective, decompositions
-from .walls import Chamber, _chambers_of, _grid_walls, _next_above, _wall_grid, _walls_in
+from .geometry import CurveClass, NumericalThreefold, _ConeIndex, _split_rows, check_effective
+from .walls import Chamber, _chambers_of, _grid_of, _grid_walls, _next_above, _walls_in
 from .walls import mu_threshold
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -92,13 +93,18 @@ class WallReport(NamedTuple):
 class TableCache:
     """Memo store for the crossing recursion, filled lazily.
 
-    Five memo tables:
+    Seven memo tables:
 
     * ``values[(beta, n, k.numerator, k.denominator, from_right)]`` --
       chamber values;
-    * ``reports[(beta, n, k0.numerator, k0.denominator)]`` -- wall reports;
+    * ``reports[(beta, n, k0.numerator, k0.denominator)]`` -- wall reports,
+      filled by ``chamber_table`` and ``cross_wall``;
+    * ``jumps[(beta, n, k0.numerator, k0.denominator)]`` -- a report's total,
+      summed without its terms where the march finds no report;
+    * ``ledgers[(beta, n)]`` -- ``[reach, walls, sums]``: of the walls j/G from
+      k_pt to j < reach, the j with a nonzero jump and their running sums, no seed;
     * ``splits[beta]`` -- the splits of ``decompositions(model, beta)`` in
-      order, as ``(beta1, deg beta1, beta2, p, q)`` with ints p/q = deg beta1;
+      order, as ``(e, beta1, beta2)`` with the int e = D * deg beta1;
     * ``m[beta2]`` -- ``min_ch3(model, beta2)`` and its ceiling, by one bisect
       of the cone index ``geometry._ConeIndex``; a failing read is not stored;
     * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps)
@@ -107,9 +113,11 @@ class TableCache:
 
     The point keys hold ints only, so a hit in ``values`` or ``reports`` is
     one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
-    key starts with the (beta, n) it belongs to.  ``splits`` and ``m`` are
-    filled by the wall-datum fill, whose tests read only their ints, and by
-    the seed bounds of every table and every sub-table a fill marches.  A
+    key of the first four starts with the (beta, n) it belongs to.  Splits
+    and grids come from the cone index's D and D * degrees.  ``splits`` and
+    ``m`` are filled by the wall-datum fill and the jump sums, whose tests
+    read only their ints, and by the seed bounds of every table and every
+    sub-table a fill marches.  A
     cache binds to the first model it serves and refuses any other, so the
     cone index built at that first bind always answers for the right model.
     Entries are deterministic functions of that model, but the cone index
@@ -120,7 +128,9 @@ class TableCache:
     def __init__(self):
         self.values: Dict[Tuple[CurveClass, int, int, int, bool], Fraction] = {}
         self.reports: Dict[Tuple[CurveClass, int, int, int], WallReport] = {}
-        self.splits: Dict[CurveClass, Tuple[tuple, ...]] = {}
+        self.jumps: Dict[Tuple[CurveClass, int, int, int], Fraction] = {}
+        self.ledgers: Dict[Tuple[CurveClass, int], list] = {}
+        self.splits: Dict[CurveClass, Tuple[Tuple[int, CurveClass, CurveClass], ...]] = {}
         self.m: Dict[CurveClass, Tuple[Fraction, int]] = {}
         self.grids: Dict[CurveClass, Tuple[int, Tuple[int, ...]]] = {}
         self._model: Optional[NumericalThreefold] = None
@@ -147,11 +157,9 @@ def _as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _splits(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
+def _splits(beta: CurveClass, cache: TableCache):
     if (splits := cache.splits.get(beta)) is None:
-        splits = cache.splits[beta] = tuple(
-            (b1, d1, b2, d1.numerator, d1.denominator) for b1, d1, b2 in decompositions(model, beta)
-        )
+        splits = cache.splits[beta] = _split_rows(cache._cone.scaled, beta.coeffs)
     return splits
 
 
@@ -162,10 +170,10 @@ def _m(beta2: CurveClass, cache: TableCache) -> Tuple[Fraction, int]:
     return m2
 
 
-def _grid(model: NumericalThreefold, beta: CurveClass, cache: TableCache):
+def _grid(beta: CurveClass, cache: TableCache):
     """The wall grid (G, steps) of beta, built once per cache."""
     if (grid := cache.grids.get(beta)) is None:
-        grid = cache.grids[beta] = _wall_grid(model, beta)
+        grid = cache.grids[beta] = _grid_of(cache._cone.scale, cache._cone.scaled, beta.coeffs)
     return grid
 
 
@@ -174,10 +182,10 @@ def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fr
     if beta.is_zero():
         raise TableArgumentError("mu threshold needs a nonzero class")
     a, b = (n if type(n) is int else Fraction(n)).as_integer_ratio()
-    top, bottom = -1, 0  # minus infinity, below every term (n - m) / (p/q) = num/den
-    for _, _, b2, p, q in _splits(model, beta, cache):
+    top, bottom, scale = -1, 0, cache._cone.scale  # minus infinity, below every term
+    for e1, _, b2 in _splits(beta, cache):  # (n - m) / deg beta1 = (a/b - c/e) * scale / e1
         c, e = _m(b2, cache)[0].as_integer_ratio()
-        num, den = (a * e - c * b) * q, b * e * p
+        num, den = (a * e - c * b) * scale, b * e * e1
         if num * bottom > top * den:  # den > 0 and bottom >= 0, so this is num/den > top/bottom
             top, bottom = num, den
     return Fraction(top, bottom)
@@ -194,20 +202,22 @@ def enumerate_wall_data(
 
     Empty whenever the slope constraint has no integral solution or the
     ch3 bounds exclude every candidate.  Both tests run on the ints of the
-    cache's split and m tables: with deg beta1 = p/q, n1 and its remainder
-    come from one divmod of -2*k0.numerator*p by k0.denominator*q (a nonzero
+    cache's split and m tables: with deg beta1 = e/D, n1 and its remainder
+    come from one divmod of -2*k0.numerator*e by k0.denominator*D (a nonzero
     remainder skips the split), and n2 >= m(beta2) or n2 <= -m(beta2) is
     n2 >= ceil(m) or -n2 >= ceil(m).
     """
-    return _wall_data(model, beta, n, _as_fraction(k0), _bound_cache(cache, model))
+    k0, cache = _as_fraction(k0), _bound_cache(cache, model)
+    check_effective(model, beta)
+    return _wall_data(beta, n, k0, cache)
 
 
-def _wall_data(model: NumericalThreefold, beta: CurveClass, n: int, k0: Fraction, cache):
-    """``enumerate_wall_data`` on a Fraction k0 and a cache bound to ``model``."""
-    num, den = -2 * k0.numerator, k0.denominator
+def _wall_data(beta: CurveClass, n: int, k0: Fraction, cache):
+    """``enumerate_wall_data`` on a Fraction k0, a checked class and a bound cache."""
+    num, den = -2 * k0.numerator, k0.denominator * cache._cone.scale
     out = []
-    for beta1, _, beta2, p, q in _splits(model, beta, cache):
-        n1, rest = divmod(num * p, den * q)
+    for e1, beta1, beta2 in _splits(beta, cache):
+        n1, rest = divmod(num * e1, den)
         if rest:
             continue
         n2, lo = n - n1, _m(beta2, cache)[1]
@@ -235,9 +245,14 @@ def l_at_wall(
         cache = _bound_cache(cache, model)
     if type(k0) is not Fraction:
         k0 = Fraction(k0)
-    side = k0.numerator <= 0
-    if (value := cache.values.get((beta2, n2, k0.numerator, k0.denominator, side))) is None:
-        value = _march(model, beta2, n2, k0, side, cache, cached_mu=True)
+    return _at_wall(model, beta2, n2, k0.numerator, k0.denominator, cache)
+
+
+def _at_wall(model: NumericalThreefold, beta2: CurveClass, n2: int, num: int, den: int, cache):
+    """``l_at_wall`` at the wall num/den in lowest terms, on a cache bound to ``model``."""
+    side = num <= 0
+    if (value := cache.values.get((beta2, n2, num, den, side))) is None:
+        value = _march(model, beta2, n2, num, den, side, cache, cached_mu=True)
     return value
 
 
@@ -251,22 +266,18 @@ def _seed(model: NumericalThreefold, beta: CurveClass, n: int) -> Fraction:
 
 
 def _march(
-    model: NumericalThreefold,
-    beta: CurveClass,
-    n: int,
-    k: Fraction,
-    from_right: bool,
-    cache: TableCache,
-    cached_mu: bool,
+    model: NumericalThreefold, beta: CurveClass, n: int, num: int, den: int, from_right: bool,
+    cache: TableCache, cached_mu: bool,
 ) -> Fraction:
-    """March the jump law from the seed chamber up to k, on a memo miss.
+    """The value at k = num/den (lowest terms) marched from the seed chamber, on a memo miss.
 
-    L(0, n) = delta_{n,0}, unmemoized.  Otherwise crosses every wall w with
-    k_pt <= w < k, plus w = k itself when the value just right of k is
-    wanted.  Walls below k_pt carry no admissible data with a nonzero jump
-    (the seed law), so the march starts at k_pt: ``_mu``'s for a fill's read
-    (``cached_mu``), ``mu_threshold``'s otherwise.  The walls are the ints j
-    of beta's grid (G, steps), compared with k on ints.
+    L(0, n) = delta_{n,0}, unmemoized.  Otherwise the seed minus the jumps at
+    every wall w with k_pt <= w < k, plus w = k itself when the value just
+    right of k is wanted.  Walls below k_pt carry no admissible data with a
+    nonzero jump (the seed law), so the march starts at k_pt: ``_mu``'s for a
+    fill's read (``cached_mu``), ``mu_threshold``'s otherwise.  A miss extends
+    the ledger of (beta, n) over the ints j of beta's grid (G, steps) up to k
+    only, and subtracts from the seed the running sum one bisect finds there.
     """
     if beta.is_zero():
         return _ONE if n == 0 else _ZERO
@@ -274,36 +285,55 @@ def _march(
     check_effective(model, beta)
     value = _seed(model, beta, n)
     k_pt = -(_mu(model, beta, n, cache) if cached_mu else mu_threshold(model, beta, n)) / 2
-    G, _ = grid = _grid(model, beta, cache)
-    for j in _grid_walls(grid, k_pt, k):  # every wall j/G in [k_pt, k]
-        if from_right or j * k.denominator < k.numerator * G:
-            g = math.gcd(j, G)
-            if total := _wall_total(model, beta, n, j // g, G // g, cache).total:
-                value -= total
-    cache.values[(beta, n, k.numerator, k.denominator, from_right)] = value
+    G, steps = _grid(beta, cache)
+    # the exclusive j bound of the walls crossed: j <= k*G from the right, j < k*G from the left
+    end = num * G // den + 1 if from_right else -(-num * G // den)
+    reach = -(-k_pt.numerator * G // k_pt.denominator)  # ceil(k_pt * G), for a new ledger
+    ledger = cache.ledgers.setdefault((beta, n), [reach, [], []])
+    _, walls, sums = ledger
+    for j in _grid_walls(steps, ledger[0], end - 1):
+        g = math.gcd(j, G)
+        if total := _jump(model, beta, n, j // g, G // g, cache):
+            walls.append(j)
+            sums.append(sums[-1] + total if sums else total)
+        ledger[0] = j + 1  # a failing jump leaves the ledger at the walls it passed
+    ledger[0] = max(ledger[0], end)
+    if crossed := bisect_left(walls, end):
+        value -= sums[crossed - 1]
+    cache.values[(beta, n, num, den, from_right)] = value
     return value
 
 
-def _wall_total(
-    model: NumericalThreefold,
-    beta: CurveClass,
-    n: int,
-    num: int,
-    den: int,
-    cache: TableCache,
-    k0: Optional[Fraction] = None,
-) -> WallReport:
-    """The report at the wall num/den in lowest terms (its memo key); k0, if given, is num/den."""
+def _jump(model: NumericalThreefold, beta: CurveClass, n: int, num: int, den: int, cache):
+    """The jump at the wall num/den (lowest terms): its report's total once one is filled, else
+    a sum in ``_wall_data`` order that skips a non-integral or zero n1 and an absent or zero
+    count on ints.  A ledger crosses each wall once, so ``cache.jumps`` only records the sum."""
     key = (beta, n, num, den)
     if (report := cache.reports.get(key)) is not None:
+        return report.total
+    total, twice, scaled = _ZERO, -2 * num, den * cache._cone.scale
+    for e1, beta1, beta2 in _splits(beta, cache):
+        n1, rest = divmod(twice * e1, scaled)
+        if rest or not n1 or not (count := model.n_table.get((n1, beta1))):
+            continue
+        n2, lo = n - n1, _m(beta2, cache)[1]
+        if n2 >= lo or (-n2 >= lo and not beta2.is_zero()):
+            total += (n1 if n1 % 2 else -n1) * count * _at_wall(model, beta2, n2, num, den, cache)
+    cache.jumps[key] = total
+    return total
+
+
+def _wall_total(model: NumericalThreefold, beta: CurveClass, n: int, k0: Fraction, cache):
+    """The report at the wall k0, keyed by its lowest terms."""
+    key = (beta, n, k0.numerator, k0.denominator)
+    if (report := cache.reports.get(key)) is not None:
         return report
-    k0 = Fraction(num, den) if k0 is None else k0
     terms = []
-    for datum in _wall_data(model, beta, n, k0, cache):
+    for datum in _wall_data(beta, n, k0, cache):
         coeff = datum.coefficient
         # a zero coefficient, an absent or zero count skips the factor L, a zero L the product
         n_value = model.n_table.get((datum.n1, datum.beta1)) if coeff else None
-        l_value = l_at_wall(model, datum.beta2, datum.n2, k0, cache) if n_value else None
+        l_value = _at_wall(model, datum.beta2, datum.n2, *key[2:], cache) if n_value else None
         terms.append(DatumContribution(
             datum, coeff, n_value, coeff != 0 and n_value is None, l_value,
             coeff * n_value * l_value if l_value else _ZERO,
@@ -330,7 +360,8 @@ def invariant_value(
     if type(k) is not Fraction:
         k = Fraction(k)
     if (value := cache.values.get((beta, n, k.numerator, k.denominator, from_right))) is None:
-        value = _march(model, beta, n, k, from_right, cache, cached_mu=False)
+        num, den = k.numerator, k.denominator
+        value = _march(model, beta, n, num, den, from_right, cache, cached_mu=False)
     return value
 
 
@@ -345,7 +376,8 @@ def cross_wall(
     """Apply the jump law at k0 to the left-chamber value; returns (L_plus, report)."""
     cache = _bound_cache(cache, model)
     k0 = _as_fraction(k0)
-    report = _wall_total(model, beta, n, k0.numerator, k0.denominator, cache, k0)
+    check_effective(model, beta)
+    report = _wall_total(model, beta, n, k0, cache)
     return _as_fraction(l_minus) - report.total, report
 
 
@@ -413,11 +445,11 @@ def chamber_table(
     value = _seed(model, beta, n)
     if not k_lo < k_hi:
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
-    chams = _chambers_of(_walls_in(_grid(model, beta, cache), k_lo, k_hi), k_lo, k_hi)
+    chams = _chambers_of(_walls_in(_grid(beta, cache), k_lo, k_hi), k_lo, k_hi)
     entries = [(chams[0], value)]
     reports = []
     for chamber in chams[1:]:
-        report = _wall_total(model, beta, n, *chamber.lo.as_integer_ratio(), cache, chamber.lo)
+        report = _wall_total(model, beta, n, chamber.lo, cache)
         value -= report.total
         reports.append(report)
         entries.append((chamber, value))
@@ -468,11 +500,15 @@ def pt_symmetry_check(
     cache: Optional[TableCache] = None,
 ) -> PTSymmetryReport:
     cache = _bound_cache(cache, model)
+    if n_max < 1:
+        raise TableArgumentError(f"n_max must be at least 1, got {n_max}")
+    if not beta.is_zero():  # _mu names the zero class
+        check_effective(model, beta)
     rows = []
     coeffs: Dict[int, Fraction] = {}
     for n in range(1, n_max + 1):
         k_pt, k_dual = -_mu(model, beta, n, cache) / 2, _mu(model, beta, -n, cache) / 2
-        right = (k_dual + _next_above(_grid(model, beta, cache), k_dual)) / 2
+        right = (k_dual + _next_above(_grid(beta, cache), k_dual)) / 2
         table = chamber_table(model, beta, n, k_pt - 1, right, cache)
         p_plus = table.seed
         p_minus = table.entries[-1][1]

@@ -225,7 +225,7 @@ class _ConeIndex:
     """
 
     def __init__(self, model: NumericalThreefold):
-        self.model, (_, self.scaled), self.top = model, _scaled_degrees(model), 0
+        self.model, (self.scale, self.scaled), self.top = model, _scaled_degrees(model), 0
         self.degrees, self.mins, self.missing = [], [], None
 
     def m(self, beta: CurveClass) -> Fraction:
@@ -251,22 +251,26 @@ class _ConeIndex:
         self.top = top
 
 
+def _split_rows(scaled: Tuple[int, ...], coeffs: Tuple[int, ...]):
+    """(D * deg beta1, beta1, beta2) for every split beta1 + beta2 of the class with ``coeffs``,
+    beta1 != 0, in split order; ``scaled`` is D * degrees, so each degree is one int sum."""
+    box = itertools.product(*(range(c + 1) for c in coeffs))
+    # an int degree orders as the Fraction degree, and a class as its coordinates
+    rows = sorted((sum(c * s for c, s in zip(g, scaled)), g) for g in box if any(g))
+    minus = lambda g: _int_class(tuple(map(int.__sub__, coeffs, g)))
+    return tuple((e, _int_class(g), minus(g)) for e, g in rows)
+
+
 def decompositions(
     model: NumericalThreefold, beta: CurveClass
 ) -> Tuple[Tuple[CurveClass, Fraction, CurveClass], ...]:
     """The split table: (beta1, deg beta1, beta2) for every ordered effective
     splitting beta = beta1 + beta2 with beta1 != 0; beta2 = 0 is allowed.
 
-    Sorted by (deg beta1, coordinates of beta1).  Each split's degree is
-    summed once from the scaled integer degrees of ``_scaled_degrees`` and
-    divided by D once.
+    Sorted by (deg beta1, coordinates of beta1).  The rows are ``_split_rows``
+    on the scaled integer degrees of ``_scaled_degrees``, each degree divided
+    by D once.
     """
     check_effective(model, beta)
     scale, scaled = _scaled_degrees(model)
-    box = itertools.product(*(range(c + 1) for c in beta.coeffs))
-    # an int degree orders as the Fraction degree, and a class as its coordinates
-    splits = sorted((sum(c * s for c, s in zip(g, scaled)), g) for g in box if any(g))
-    return tuple(
-        (_int_class(g), Fraction(e, scale), _int_class(tuple(map(int.__sub__, beta.coeffs, g))))
-        for e, g in splits
-    )
+    return tuple((b1, Fraction(e, scale), b2) for e, b1, b2 in _split_rows(scaled, beta.coeffs))

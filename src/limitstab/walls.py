@@ -68,18 +68,18 @@ class Chamber(NamedTuple):
 
 
 def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[int, ...]]:
-    """(G, steps): the walls of beta are the j/G with j a multiple of some step.
-
-    The distinct scaled degrees e <= D*deg(beta) of nonzero effective classes
-    come from an integer set walk over the simplicial cone, one basis curve at
-    a time; no class and no Fraction is built per cone point.  The zero class
-    has no walls and is rejected before the rank and effectivity checks.
-    """
+    """``_grid_of`` for beta; the zero class, which has no walls, is rejected before the checks."""
     if beta.is_zero():
         raise TableArgumentError("wall set needs a nonzero class")
     check_effective(model, beta)
-    scale, scaled = _scaled_degrees(model)
-    bound = sum(c * e for c, e in zip(beta.coeffs, scaled))
+    return _grid_of(*_scaled_degrees(model), beta.coeffs)
+
+
+def _grid_of(scale: int, scaled: Tuple[int, ...], coeffs: Tuple[int, ...]):
+    """(G, steps): the walls of the class with ``coeffs`` are the j/G with j a multiple of some
+    step, one per distinct scaled degree e <= D*deg(beta) of a nonzero effective class, found
+    by an int set walk over the cone; ``scale``, ``scaled`` are ``_scaled_degrees``' output."""
+    bound = sum(c * e for c, e in zip(coeffs, scaled))
     reached = {0}
     for e in scaled:
         reached = {r + t for r in reached for t in range(0, bound - r + 1, e)}
@@ -88,11 +88,8 @@ def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[
     return grid, tuple(scale * grid // (2 * e) for e in reached)
 
 
-def _grid_walls(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
-    """The j of the walls j/G in [k_lo, k_hi] on the grid ``grid_steps`` = (G, steps), sorted."""
-    grid, steps = grid_steps
-    j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
-    j_hi = k_hi.numerator * grid // k_hi.denominator
+def _grid_walls(steps: Tuple[int, ...], j_lo: int, j_hi: int):
+    """The j in [j_lo, j_hi] of the walls j/G on a grid (G, ``steps``), sorted."""
     found = set()
     for s in steps:
         found.update(range(-(-j_lo // s) * s, j_hi + 1, s))
@@ -101,7 +98,10 @@ def _grid_walls(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: F
 
 def _walls_in(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
     """The walls in [k_lo, k_hi] of the class whose ``_wall_grid`` is ``grid_steps``, sorted."""
-    return tuple(Fraction(j, grid_steps[0]) for j in _grid_walls(grid_steps, k_lo, k_hi))
+    grid, steps = grid_steps
+    j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
+    j_hi = k_hi.numerator * grid // k_hi.denominator
+    return tuple(Fraction(j, grid) for j in _grid_walls(steps, j_lo, j_hi))
 
 
 def _next_above(grid_steps: Tuple[int, Tuple[int, ...]], k: Fraction) -> Fraction:
@@ -138,7 +138,7 @@ def next_wall_above(model: NumericalThreefold, beta: CurveClass, k) -> Fraction:
 
 def is_wall(model: NumericalThreefold, beta: CurveClass, k) -> bool:
     k = Fraction(k)
-    return bool(_grid_walls(_wall_grid(model, beta), k, k))
+    return bool(_walls_in(_wall_grid(model, beta), k, k))
 
 
 def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:

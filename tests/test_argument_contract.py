@@ -17,7 +17,7 @@ from limitstab.comparator import (
     destabilizing_threshold,
     phase_limit,
 )
-from limitstab.crossing import TableCache, chamber_table
+from limitstab.crossing import TableCache, chamber_table, pt_symmetry_check
 from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass
 from limitstab.presets import build_preset, conifold_double, conifold_pair, conifold_single
@@ -91,6 +91,10 @@ CASES = [
         ("chern_character_sum", lambda: SHEAF + WRONG_RANK,
          "rank mismatch between Chern characters"),
         ("cache_of_another_model", _bind_twice, "a TableCache cannot be shared between models"),
+        ("series-no_rows", lambda: pt_symmetry_check(X, CurveClass((1,)), 0),
+         "n_max must be at least 1, got 0"),
+        ("series-negative_n_max", lambda: pt_symmetry_check(X, CurveClass((1,)), -1),
+         "n_max must be at least 1, got -1"),
     )
 ]
 

@@ -214,7 +214,7 @@ def test_model_file_reproduces_preset_output_byte_for_byte(tmp_path):
         ("walls", "--beta", "2", "--range", "-2:0"),
         ("mu", "--beta", "2", "--n", "3"),
         ("cross", "--beta", "2", "--n", "4", "--k", "-1"),
-        ("series", "--beta", "2", "--n-max", "0"),
+        ("series", "--beta", "1", "--n-max", "3"),
         ("render", "--beta", "2", "--n", "3", "--range", "-2:0", "--format", "svg"),
     )
     for cmd in commands:
@@ -362,6 +362,9 @@ def test_model_error_exit_code(tmp_path, capsys):
         (("mu", "--beta", "-1", "--n", "1"), "(-1) is not effective"),
         (("series", "--beta", "0", "--n-max", "2"), "mu threshold needs a nonzero class"),
         (("series", "--beta", "-1", "--n-max", "2"), "(-1) is not effective"),
+        # a series with no row: it printed only its header and exited 0
+        (("series", "--beta", "1", "--n-max", "0"), "n_max must be at least 1, got 0"),
+        (("series", "--beta", "1", "--n-max", "-1"), "n_max must be at least 1, got -1"),
         (("cross", "--beta", "-1", "--n", "1", "--k", "-1/2"), "(-1) is not effective"),
         # so are a crossing point off the wall set and a class of the wrong rank
         (("cross", "--beta", "1", "--n", "1", "--k", "1/3"), "k0 = 1/3 is not a wall of (1)"),

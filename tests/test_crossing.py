@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from limitstab import cli, crossing, walls
+from limitstab import cli, crossing, geometry, walls
 from limitstab.charge import ch_of_sheaf
 from limitstab.comparator import destabilizing_threshold
 from limitstab.crossing import (
@@ -26,14 +26,19 @@ from limitstab.geometry import (
     CurveClass,
     NumericalThreefold,
     _ConeIndex,
+    _scaled_degrees,
+    _split_rows,
     decompositions,
     degree,
     min_ch3,
 )
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
-from limitstab.walls import _wall_grid, mu_threshold, next_wall_above, pt_bounds, wall_set
+from limitstab.walls import _grid_of, _wall_grid, mu_threshold, next_wall_above, pt_bounds, wall_set
+
+import reference_engine
 
 F = Fraction
+cone_m = _ConeIndex.m
 C1_ = CurveClass((1,))
 C2_ = CurveClass((2,))
 PAIR_BETA = CurveClass((1, 1))
@@ -525,32 +530,39 @@ def _synthetic_tables(draw):
 def _query_pool(model, beta):
     """Table, point, wall-value and crossing queries on beta for n = -2..2, on
     every class below it and on the remainder classes of its wall data, each
-    a function of the cache."""
+    a (function name, arguments after the model) of the engine's API."""
     box = itertools.product(*(range(c + 1) for c in beta.coeffs))
     below = [CurveClass(g) for g in box if any(g)]
     out = []
     for n in range(-2, 3):
         k_pt = pt_bounds(model, beta, n)[0]
         walls = wall_set(model, beta, k_pt - 1, k_pt + 2).walls[:12]
-        out.append(lambda c, n=n, k=k_pt: chamber_table(model, beta, n, k - 1, k + 2, c))
+        out.append(("chamber_table", (beta, n, k_pt - 1, k_pt + 2)))
         for k in walls + tuple((a + b) / 2 for a, b in zip(walls, walls[1:])):
-            for side in (False, True):
-                out.append(lambda c, n=n, k=k, s=side: invariant_value(model, beta, n, k, s, c))
+            out += [("invariant_value", (beta, n, k, side)) for side in (False, True)]
         for b, k in itertools.product(below, walls[::3]):
-            out.append(lambda c, b=b, n=n, k=k: invariant_value(model, b, n, k, True, c))
+            out.append(("invariant_value", (b, n, k, True)))
         for k0 in walls:
-            out.append(lambda c, n=n, k0=k0: cross_wall(model, beta, n, k0, F(3), c))
+            out.append(("cross_wall", (beta, n, k0, F(3))))
             for d in enumerate_wall_data(model, beta, n, k0):
-                out.append(lambda c, d=d: l_at_wall(model, d.beta2, d.n2, d.k0, c))
+                out.append(("l_at_wall", (d.beta2, d.n2, d.k0)))
     return out
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from([
+def _ask(module, model, query, *cache):
+    name, args = query
+    return getattr(module, name)(model, *args, *cache)
+
+
+_POOL_CASES = st.sampled_from([
     (conifold_single(1), C1_),
     (conifold_pair(3, 2), PAIR_BETA),
     (conifold_double(1), C2_),
-]) | _synthetic_tables(), data=st.data())
+]) | _synthetic_tables()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_POOL_CASES, data=st.data())
 def test_a_shared_cache_answers_every_query_as_a_fresh_one(case, data):
     """A shuffled run of queries on one cache, which fills its wall grids,
     splits and m bounds in that order, gives each query's values, reports
@@ -560,14 +572,35 @@ def test_a_shared_cache_answers_every_query_as_a_fresh_one(case, data):
     order = data.draw(st.permutations(range(len(pool))))[:30]
     cache = TableCache()
     for i in order:
-        assert _outcome(lambda: pool[i](cache)) == _outcome(lambda: pool[i](None))
+        assert _outcome(lambda: _ask(crossing, model, pool[i], cache)) == (
+            _outcome(lambda: _ask(crossing, model, pool[i], None))
+        )
     for b, grid in cache.grids.items():
         assert grid == _wall_grid(model, b)
+    scale = cache._cone.scale
     for b, splits in cache.splits.items():
-        assert tuple(split[:3] for split in splits) == decompositions(model, b)
-        assert all(F(p, q) == deg1 for _, deg1, _, p, q in splits)
+        # each row's int degree e over the cache's scale D is deg beta1
+        assert tuple((b1, F(e, scale), b2) for e, b1, b2 in splits) == decompositions(model, b)
     for b, (m, ceiling) in cache.m.items():
         assert (m, ceiling) == (min_ch3(model, b), math.ceil(m))
+    for (b, n, num, den), total in cache.jumps.items():
+        assert total == cross_wall(model, b, n, F(num, den), 0)[1].total
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_POOL_CASES, data=st.data())
+def test_every_query_matches_the_reference_march(case, data):
+    """Each query, on a fresh cache and on one cache shared in a drawn order,
+    gives the reference march's value or error text; the reprs compare the
+    value types of every entry and report too."""
+    model, beta = case
+    pool = _query_pool(model, beta)
+    order = data.draw(st.permutations(range(len(pool))))[:15]
+    cache = TableCache()
+    for i in order:
+        expected = _outcome(lambda: repr(_ask(reference_engine, model, pool[i])))
+        assert _outcome(lambda: repr(_ask(crossing, model, pool[i], None))) == expected
+        assert _outcome(lambda: repr(_ask(crossing, model, pool[i], cache))) == expected
 
 
 @st.composite
@@ -646,33 +679,38 @@ def test_m_bounds_are_computed_only_where_a_split_needs_them():
 def test_each_class_is_split_once_per_cache(monkeypatch):
     double = conifold_double(1)
     expected = chamber_table(double, C2_, 4, -2, 0)
-    split, bounded = [], []
-
-    def counted(calls, fn):
-        return lambda owner, beta: calls.append(beta) or fn(owner, beta)
-
-    monkeypatch.setattr(crossing, "decompositions", counted(split, decompositions))
+    split, bounded, scaled = [], [], []
+    monkeypatch.setattr(crossing, "_split_rows", lambda degrees, coeffs: (
+        split.append(CurveClass(coeffs)) or _split_rows(degrees, coeffs)
+    ))
     # every m bound is a read of the cache's cone index
-    monkeypatch.setattr(_ConeIndex, "m", counted(bounded, _ConeIndex.m))
+    monkeypatch.setattr(_ConeIndex, "m", lambda index, b: bounded.append(b) or cone_m(index, b))
+    for mod in (geometry, walls):
+        monkeypatch.setattr(mod, "_scaled_degrees", lambda m: scaled.append(m) or _scaled_degrees(m))
     cache = TableCache()
     assert chamber_table(double, C2_, 4, -2, 0, cache) == expected
     assert sorted(split) == sorted(set(split)) == sorted(cache.splits) == [C1_, C2_]
     assert sorted(bounded) == sorted(set(bounded)) == sorted(cache.m)
-    remainders = {beta2 for splits in cache.splits.values() for _, _, beta2, _, _ in splits}
+    remainders = {beta2 for splits in cache.splits.values() for _, _, beta2 in splits}
     assert set(bounded) <= remainders
+    # the scaled degrees are computed once, when the cache binds, and each
+    # split row's int degree e over their scale D is deg beta1
+    assert scaled == [double] and cache._cone.scale == 1
+    for beta, splits in cache.splits.items():
+        assert tuple((b1, F(e, 1), b2) for e, b1, b2 in splits) == decompositions(double, beta)
     # a second table on the same cache splits and bounds nothing new
-    before = len(split), len(bounded)
+    before = len(split), len(bounded), len(scaled)
     chamber_table(double, C2_, 3, -2, 0, cache)
-    assert (len(split), len(bounded)) == before
+    assert (len(split), len(bounded), len(scaled)) == before
 
 
 def test_each_wall_grid_is_built_once_per_cache(monkeypatch):
     double = conifold_double(1)
     expected = chamber_table(double, C2_, 4, -2, 0)
     built = []
-    counted = lambda model, beta: built.append(beta) or _wall_grid(model, beta)
+    counted = lambda *args: built.append(CurveClass(args[-1])) or _grid_of(*args)
     for module in (crossing, walls):
-        monkeypatch.setattr(module, "_wall_grid", counted)
+        monkeypatch.setattr(module, "_grid_of", counted)
     cache = TableCache()
     assert chamber_table(double, C2_, 4, -2, 0, cache) == expected
     # the table's class and the class of the sub-table marched at k0 = -1
@@ -682,6 +720,8 @@ def test_each_wall_grid_is_built_once_per_cache(monkeypatch):
     invariant_value(double, C1_, 2, F(1, 3), True, cache)
     l_at_wall(double, C2_, 4, F(-1, 2), cache)
     assert sorted(built) == [C1_, C2_]
+    monkeypatch.undo()
+    assert all(grid == _wall_grid(double, beta) for beta, grid in cache.grids.items())
 
 
 @st.composite
@@ -1151,12 +1191,71 @@ def test_every_memo_key_starts_with_its_class_and_n():
         invariant_value(double, C1_, 1, k, True, cache)
     marched = {(C1_, 1), (C1_, 2), (C1_, 3), (C2_, 3)}
     assert {key[:2] for key in cache.values} == marched
-    assert {key[:2] for key in cache.reports} == marched | {(C2_, 4)}
+    # only the table fills reports; each march sums the jumps of the walls it
+    # crosses and keeps one ledger
+    assert {key[:2] for key in cache.reports} == {(C2_, 4)}
+    assert {key[:2] for key in cache.jumps} == set(cache.ledgers) == marched
     for (beta, n, num, den, from_right), value in cache.values.items():
         assert value == invariant_value(double, beta, n, F(num, den), from_right)
     for (beta, n, num, den), report in cache.reports.items():
         assert report.k0 == F(num, den)
         assert report == cross_wall(double, beta, n, F(num, den), F(0))[1]
+    for (beta, n, num, den), total in cache.jumps.items():
+        assert total == cross_wall(double, beta, n, F(num, den), F(0))[1].total
+    # a ledger holds no seed: its sums are the running sums of its walls' nonzero jumps
+    for (beta, n), (reach, js, sums) in cache.ledgers.items():
+        jumps = [cache.jumps[(beta, n, *F(j, cache.grids[beta][0]).as_integer_ratio())] for j in js]
+        assert all(jumps) and js == sorted(js) and js[-1] < reach
+        assert sums == list(itertools.accumulate(jumps))
+
+
+class _LazySeeds(dict):
+    """A seed map that derives P(n > 0, beta) on its first read, as the ladder
+    generator of perfbench does: from a march with the placeholder seed 0, so
+    that the table's far-right value is 0, after which only that (beta, n)'s
+    chamber values are dropped from the cache."""
+
+    def __init__(self):
+        super().__init__()
+        self.model, self.cache = None, TableCache()
+
+    def __missing__(self, key):
+        n, beta = key
+        self[key] = F(0)
+        if n > 0:
+            _, k_dual = pt_bounds(self.model, beta, n)
+            right = (k_dual + next_wall_above(self.model, beta, k_dual)) / 2
+            self[key] = -invariant_value(self.model, beta, n, right, cache=self.cache)
+            for stale in [key for key in self.cache.values if key[:2] == (beta, n)]:
+                del self.cache.values[stale]
+        return self[key]
+
+
+def test_lazily_derived_seeds_give_the_tables_of_the_frozen_model():
+    # rank 2 with basis degrees 2 and 1, m = 1 on the cone, symmetric counts
+    cone = [g for g in itertools.product(range(4), range(7)) if any(g) and 2 * g[0] + g[1] <= 6]
+    counts = {(1, 0): {1: 1, 2: 1, 3: 1, 4: 1}, (0, 1): {1: 1, 2: 1, 3: 1, 4: 1},
+              (1, 1): {2: 2, 3: -1}, (0, 2): {3: 1}, (1, 2): {1: -1, 4: 1}}
+    fields = dict(
+        basis=(("C1", F(2)), ("C2", F(1))),
+        omega_cubed=F(6),
+        m_table={CurveClass(g): F(1) for g in cone},
+        n_table={(s * n, CurveClass(g)): F(v) for g, row in counts.items()
+                 for n, v in row.items() for s in (1, -1)},
+    )
+    seeds = _LazySeeds()
+    seeds.model = NumericalThreefold(p_seed=seeds, **fields)
+    windows = []
+    for beta, n in itertools.product([(1, 1), (2, 1), (1, 2), (2, 2)], (1, 2, 3)):
+        k_pt, k_dual = pt_bounds(seeds.model, CurveClass(beta), n)
+        beta = CurveClass(beta)
+        windows += [(beta, n, k_pt - 1, k_dual + 1), (beta, -n, -k_dual - 1, 1 - k_pt)]
+    # the tables are asked on the seed map's own cache, where every derivation marched
+    tables = [chamber_table(seeds.model, *window, seeds.cache) for window in windows]
+    assert all(table.entries[-1][1] == 0 for table in tables if table.n > 0)
+    assert any(table.seed != 0 for table in tables)
+    frozen = NumericalThreefold(p_seed=dict(seeds), **fields)
+    assert tables == [chamber_table(frozen, *window) for window in windows]
 
 
 def test_the_march_reads_the_reports_its_table_filled():
