@@ -116,9 +116,9 @@ class TableCache:
     key of the first four starts with the (beta, n) it belongs to.  Splits
     and grids come from the cone index's D and D * degrees.  ``splits`` and
     ``m`` are filled by the wall-datum fill and the jump sums, whose tests
-    read only their ints, and by the seed bounds of every table and every
-    sub-table a fill marches.  A
-    cache binds to the first model it serves and refuses any other, so the
+    read only their ints, and by the seed bound of every table and of every
+    ledger a fill makes: on ints, ceil(k_pt * G), once per ledger.  A cache
+    binds to the first model it serves and refuses any other, so the
     cone index built at that first bind always answers for the right model.
     Entries are deterministic functions of that model, but the cone index
     grows its lists in place, so two threads growing it at once can corrupt
@@ -178,7 +178,12 @@ def _grid(beta: CurveClass, cache: TableCache):
 
 
 def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fraction:
-    """``mu_threshold`` from the cached split and m ints, in split order, making one Fraction."""
+    """``mu_threshold`` as one Fraction of ``_mu_ints``."""
+    return Fraction(*_mu_ints(beta, n, cache))
+
+
+def _mu_ints(beta: CurveClass, n, cache: TableCache) -> Tuple[int, int]:
+    """``mu_threshold`` as ints (top, bottom > 0) from the cached split and m ints, in order."""
     if beta.is_zero():
         raise TableArgumentError("mu threshold needs a nonzero class")
     a, b = (n if type(n) is int else Fraction(n)).as_integer_ratio()
@@ -188,7 +193,7 @@ def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fr
         num, den = (a * e - c * b) * scale, b * e * e1
         if num * bottom > top * den:  # den > 0 and bottom >= 0, so this is num/den > top/bottom
             top, bottom = num, den
-    return Fraction(top, bottom)
+    return top, bottom
 
 
 def enumerate_wall_data(
@@ -274,22 +279,28 @@ def _march(
     L(0, n) = delta_{n,0}, unmemoized.  Otherwise the seed minus the jumps at
     every wall w with k_pt <= w < k, plus w = k itself when the value just
     right of k is wanted.  Walls below k_pt carry no admissible data with a
-    nonzero jump (the seed law), so the march starts at k_pt: ``_mu``'s for a
-    fill's read (``cached_mu``), ``mu_threshold``'s otherwise.  A miss extends
-    the ledger of (beta, n) over the ints j of beta's grid (G, steps) up to k
-    only, and subtracts from the seed the running sum one bisect finds there.
+    nonzero jump (the seed law), so the ledger of (beta, n) starts at
+    ceil(k_pt * G) on beta's grid (G, steps): from ``_mu_ints`` once per ledger
+    for a fill's read (``cached_mu``), from ``mu_threshold`` on every miss of a
+    point query.  A miss extends the ledger over the ints j up to k only, and
+    subtracts from the seed the running sum one bisect finds there.
     """
     if beta.is_zero():
         return _ONE if n == 0 else _ZERO
-    # a bad class is an argument error before its seed lookup; checked on a miss only
-    check_effective(model, beta)
-    value = _seed(model, beta, n)
-    k_pt = -(_mu(model, beta, n, cache) if cached_mu else mu_threshold(model, beta, n)) / 2
-    G, steps = _grid(beta, cache)
+    if (ledger := cache.ledgers.get((beta, n))) is None or not cached_mu:
+        # a bad class is an argument error before its seed lookup; a fill checks once per ledger
+        check_effective(model, beta)
+        value = _seed(model, beta, n)
+        top, bottom = (_mu_ints(beta, n, cache) if cached_mu
+                       else mu_threshold(model, beta, n).as_integer_ratio())
+        G, steps = _grid(beta, cache)
+        # ceil(k_pt * G) with k_pt = -top / (2 * bottom); a derived seed may have made the ledger
+        ledger = cache.ledgers.setdefault((beta, n), [-(top * G // (2 * bottom)), [], []])
+    else:
+        value = model.p_seed[(n, beta)]
+        G, steps = _grid(beta, cache)
     # the exclusive j bound of the walls crossed: j <= k*G from the right, j < k*G from the left
     end = num * G // den + 1 if from_right else -(-num * G // den)
-    reach = -(-k_pt.numerator * G // k_pt.denominator)  # ceil(k_pt * G), for a new ledger
-    ledger = cache.ledgers.setdefault((beta, n), [reach, [], []])
     _, walls, sums = ledger
     for j in _grid_walls(steps, ledger[0], end - 1):
         g = math.gcd(j, G)
@@ -324,21 +335,23 @@ def _jump(model: NumericalThreefold, beta: CurveClass, n: int, num: int, den: in
 
 
 def _wall_total(model: NumericalThreefold, beta: CurveClass, n: int, k0: Fraction, cache):
-    """The report at the wall k0, keyed by its lowest terms."""
+    """The report at the wall k0, keyed by its lowest terms; its total adds the contributions with
+    a nonzero L to ``_ZERO`` in datum order, so a report without one keeps ``_ZERO`` itself."""
     key = (beta, n, k0.numerator, k0.denominator)
     if (report := cache.reports.get(key)) is not None:
         return report
-    terms = []
+    terms, total = [], _ZERO
     for datum in _wall_data(beta, n, k0, cache):
         coeff = datum.coefficient
         # a zero coefficient, an absent or zero count skips the factor L, a zero L the product
         n_value = model.n_table.get((datum.n1, datum.beta1)) if coeff else None
         l_value = _at_wall(model, datum.beta2, datum.n2, *key[2:], cache) if n_value else None
+        contribution = _ZERO
+        if l_value:
+            total += (contribution := coeff * n_value * l_value)
         terms.append(DatumContribution(
-            datum, coeff, n_value, coeff != 0 and n_value is None, l_value,
-            coeff * n_value * l_value if l_value else _ZERO,
+            datum, coeff, n_value, coeff != 0 and n_value is None, l_value, contribution
         ))
-    total = sum((t.contribution for t in terms if t.l_value), _ZERO)
     report = cache.reports[key] = WallReport(k0, tuple(terms), total)
     return report
 
@@ -404,13 +417,14 @@ class ChamberTable(NamedTuple):
     def effective_walls(self) -> Tuple[Fraction, ...]:
         """Walls where the value actually jumps."""
         pairs = zip(self.entries, self.entries[1:])
-        return tuple(ca.hi for (ca, va), (_, vb) in pairs if va != vb)
+        return tuple(ca.hi for (ca, va), (_, vb) in pairs if va is not vb and va != vb)
 
     def merged(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-        """Runs of equal value: (lo, hi, value), consecutive chambers fused."""
+        """Runs of equal value: (lo, hi, value), consecutive chambers fused (a zero jump keeps
+        the value's object, so ``==`` runs only at a real jump)."""
         runs: List[Tuple[Fraction, Fraction, Fraction]] = []
         for chamber, value in self.entries:
-            if runs and runs[-1][2] == value:
+            if runs and (runs[-1][2] is value or runs[-1][2] == value):
                 lo, _, _ = runs[-1]
                 runs[-1] = (lo, chamber.hi, value)
             else:
@@ -446,22 +460,22 @@ def chamber_table(
     if not k_lo < k_hi:
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
     chams = _chambers_of(_walls_in(_grid(beta, cache), k_lo, k_hi), k_lo, k_hi)
-    entries = [(chams[0], value)]
-    reports = []
+    entries, reports, first = [(chams[0], value)], [], 0
     for chamber in chams[1:]:
         report = _wall_total(model, beta, n, chamber.lo, cache)
-        value -= report.total
+        # a zero jump leaves a Fraction value as it is; an int seed still turns into a Fraction
+        if report.total or type(value) is not Fraction:
+            value -= report.total
+            if report.total and not first:
+                first = len(entries)
         reports.append(report)
         entries.append((chamber, value))
-    # every report is filled first, so a fill's own error wins over the seed law
-    for chamber, val in entries:
-        if not chamber.hi <= k_pt:
-            break
-        if val != entries[0][1]:
-            raise ModelDataError(
-                f"model data violate the seed law: chamber {chamber} below "
-                f"k_pt = {show(k_pt)} carries {show(val)} != seed {show(entries[0][1])}"
-            )
+    # checked after every fill, so a fill's own error wins; the first jump ends the seed's run
+    if first and (chamber := entries[first][0]).hi <= k_pt:
+        raise ModelDataError(
+            f"model data violate the seed law: chamber {chamber} below "
+            f"k_pt = {show(k_pt)} carries {show(entries[first][1])} != seed {show(entries[0][1])}"
+        )
     return ChamberTable(beta, n, (k_lo, k_hi), tuple(entries), tuple(reports))
 
 

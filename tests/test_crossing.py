@@ -1126,6 +1126,21 @@ def test_a_point_query_walks_the_cone_for_its_own_bound_only(monkeypatch):
     assert walked == [(C2_, 4), (C1_, 3)]
 
 
+@settings(max_examples=25, deadline=None)
+@given(case=_synthetic_tables(), n=st.integers(-2, 2))
+def test_a_fill_takes_its_seed_bound_once_per_ledger(case, n):
+    # the table's own bound, then one per (beta, n) ledger that its fills make: a later
+    # miss on a ledger, at another wall, reads the ledger's reach and takes no bound
+    for model, beta, n in ((conifold_double(1), C2_, 4), (*case, n)):
+        calls, cache, bound = [], TableCache(), crossing._mu_ints
+        k_pt, k_dual = pt_bounds(model, beta, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(crossing, "_mu_ints", lambda *args: calls.append(args[:2]) or bound(*args))
+            _outcome(lambda: chamber_table(model, beta, n, k_pt - 1, k_dual + 1, cache))
+        assert len(calls) == len(cache.ledgers) + 1
+        assert sorted(map(repr, calls)) == sorted(map(repr, [(beta, n), *cache.ledgers]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_a_fill_read_equals_the_point_query_on_its_side(data):

@@ -146,6 +146,13 @@ def test_an_int_seeded_table_keeps_its_value_types():
         seed_type = type(ints.p_seed[(n, cc)])
         assert [type(v) for _, v in table.entries] == [seed_type] + [Fraction] * (len(table.entries) - 1)
     assert type(ints.p_seed[(5, cc)]) is int and type(ints.p_seed[(-5, cc)]) is Fraction
+    # every wall of ([C], 2) below k_pt = -1/2 carries a zero jump: the int seed is still
+    # converted at the first wall, and a zero jump makes no new value after that
+    table = chamber_table(ints, CurveClass((1,)), 2, F(-2), F(-1, 2))
+    assert len(table.reports) == 5 and not any(r.total for r in table.reports)
+    assert [repr(v) for _, v in table.entries] == ["-4"] + ["Fraction(-4, 1)"] * 5
+    assert all(v is table.entries[1][1] for _, v in table.entries[1:])
+    assert table.merged() == ((F(-2), F(-1, 2), F(-4)),) and table.effective_walls() == ()
 
 
 def negative_m_model():
