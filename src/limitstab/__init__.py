@@ -42,14 +42,13 @@ from .errors import LimitStabError, ModelDataError, ModelParseError, TableArgume
 from .geometry import (
     CurveClass,
     NumericalThreefold,
-    decompositions,
     degree,
     effective_below,
     min_ch3,
 )
 from .modelio import load_model, parse_model, save_model, serialize_model
 from .presets import conifold_double, conifold_pair, conifold_single
-from .walls import Chamber, WallSet, chambers, mu_threshold, pt_bounds, wall_set
+from .walls import Chamber, WallSet, mu_threshold, pt_bounds, wall_set
 
 __version__ = "0.1.0"
 
@@ -86,7 +85,6 @@ __all__ = [
     "TableArgumentError",
     "CurveClass",
     "NumericalThreefold",
-    "decompositions",
     "degree",
     "effective_below",
     "min_ch3",
@@ -99,7 +97,6 @@ __all__ = [
     "conifold_single",
     "Chamber",
     "WallSet",
-    "chambers",
     "mu_threshold",
     "pt_bounds",
     "wall_set",

@@ -28,7 +28,6 @@ from .crossing import (
     pt_symmetry_check,
 )
 from .errors import LimitStabError, TableArgumentError
-from .geometry import check_effective
 from .modelio import format_rational, load_model, parse_class, parse_int
 from .modelio import parse_rational, parse_rational_list
 from .presets import PRESET_NAMES, build_preset
@@ -61,10 +60,7 @@ def _parse_range(text: str) -> Tuple[Fraction, Fraction]:
     if ":" not in text:
         raise UsageError(f"range must be lo:hi, got {text!r}")
     lo, _, hi = text.partition(":")
-    lo, hi = _parse_rational_arg(lo), _parse_rational_arg(hi)
-    if not lo < hi:
-        raise UsageError(f"empty interval [{lo}, {hi}]")
-    return lo, hi
+    return _parse_rational_arg(lo), _parse_rational_arg(hi)
 
 
 def _parse_chern(text: str) -> ChernCharacter:
@@ -190,8 +186,9 @@ def _cmd_render(model, args, out):
 # Every option, declared once: its add_argument keywords and the converter
 # that main applies to its string (argparse converts --n and --n-max).  main
 # converts in this order, after resolving the model, so the order decides
-# which of two bad arguments is reported; then it checks that --beta has the
-# model's rank and is effective.
+# which of two malformed arguments is reported; the engine then checks the
+# values (an empty --range, the rank and effectivity of --beta) in its own
+# order.
 _OPTIONS = {
     "--preset": (dict(
         help="preset geometry, e.g. conifold_single:1, conifold_pair:3,2, "
@@ -306,8 +303,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             if convert and opt in options:
                 dest = opt[2:].replace("-", "_")
                 setattr(args, dest, convert(getattr(args, dest)))
-        if "--beta" in options:
-            check_effective(model, args.beta)
         return handler(model, args, out) or 0
     except (UsageError, TableArgumentError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError, show
 from .geometry import CurveClass, NumericalThreefold, _ConeIndex, _split_rows, check_effective
 from .walls import Chamber, _chambers_of, _grid_of, _grid_walls, _next_above, _walls_in
-from .walls import mu_threshold
+from .walls import _max_slope, mu_threshold
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -103,8 +103,8 @@ class TableCache:
       summed without its terms where the march finds no report;
     * ``ledgers[(beta, n)]`` -- ``[reach, walls, sums]``: of the walls j/G from
       k_pt to j < reach, the j with a nonzero jump and their running sums, no seed;
-    * ``splits[beta]`` -- the splits of ``decompositions(model, beta)`` in
-      order, as ``(e, beta1, beta2)`` with the int e = D * deg beta1;
+    * ``splits[beta]`` -- ``geometry._split_rows`` of beta, in order: each split
+      as ``(e, beta1, beta2)`` with the int e = D * deg beta1;
     * ``m[beta2]`` -- ``min_ch3(model, beta2)`` and its ceiling, by one bisect
       of the cone index ``geometry._ConeIndex``; a failing read is not stored;
     * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps)
@@ -184,16 +184,7 @@ def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fr
 
 def _mu_ints(beta: CurveClass, n, cache: TableCache) -> Tuple[int, int]:
     """``mu_threshold`` as ints (top, bottom > 0) from the cached split and m ints, in order."""
-    if beta.is_zero():
-        raise TableArgumentError("mu threshold needs a nonzero class")
-    a, b = (n if type(n) is int else Fraction(n)).as_integer_ratio()
-    top, bottom, scale = -1, 0, cache._cone.scale  # minus infinity, below every term
-    for e1, _, b2 in _splits(beta, cache):  # (n - m) / deg beta1 = (a/b - c/e) * scale / e1
-        c, e = _m(b2, cache)[0].as_integer_ratio()
-        num, den = (a * e - c * b) * scale, b * e * e1
-        if num * bottom > top * den:  # den > 0 and bottom >= 0, so this is num/den > top/bottom
-            top, bottom = num, den
-    return top, bottom
+    return _max_slope(n, _splits(beta, cache), lambda beta2: _m(beta2, cache)[0], cache._cone.scale)
 
 
 def enumerate_wall_data(
@@ -274,7 +265,7 @@ def _march(
     model: NumericalThreefold, beta: CurveClass, n: int, num: int, den: int, from_right: bool,
     cache: TableCache, cached_mu: bool,
 ) -> Fraction:
-    """The value at k = num/den (lowest terms) marched from the seed chamber, on a memo miss.
+    """The value at k = num/den (lowest terms), a Fraction marched from the seed, on a memo miss.
 
     L(0, n) = delta_{n,0}, unmemoized.  Otherwise the seed minus the jumps at
     every wall w with k_pt <= w < k, plus w = k itself when the value just
@@ -311,7 +302,7 @@ def _march(
     ledger[0] = max(ledger[0], end)
     if crossed := bisect_left(walls, end):
         value -= sums[crossed - 1]
-    cache.values[(beta, n, num, den, from_right)] = value
+    cache.values[(beta, n, num, den, from_right)] = value = _as_fraction(value)
     return value
 
 
@@ -448,8 +439,10 @@ def chamber_table(
     """
     cache = _bound_cache(cache, model)
     k_lo, k_hi = _as_fraction(k_lo), _as_fraction(k_hi)
-    model.check_rank(beta)
-    if beta.is_zero() or not beta.is_effective():
+    if not k_lo < k_hi:
+        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
+    check_effective(model, beta)
+    if beta.is_zero():
         raise TableArgumentError("chamber tables need a nonzero effective class")
     k_pt = -_mu(model, beta, n, cache) / 2
     if not k_lo < k_pt:
@@ -457,8 +450,6 @@ def chamber_table(
             f"interval must start below the seed bound k_pt = {show(k_pt)}, got k_lo = {show(k_lo)}"
         )
     value = _seed(model, beta, n)
-    if not k_lo < k_hi:
-        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
     chams = _chambers_of(_walls_in(_grid(beta, cache), k_lo, k_hi), k_lo, k_hi)
     entries, reports, first = [(chams[0], value)], [], 0
     for chamber in chams[1:]:
@@ -514,10 +505,9 @@ def pt_symmetry_check(
     cache: Optional[TableCache] = None,
 ) -> PTSymmetryReport:
     cache = _bound_cache(cache, model)
+    check_effective(model, beta)  # _mu names the zero class
     if n_max < 1:
         raise TableArgumentError(f"n_max must be at least 1, got {n_max}")
-    if not beta.is_zero():  # _mu names the zero class
-        check_effective(model, beta)
     rows = []
     coeffs: Dict[int, Fraction] = {}
     for n in range(1, n_max + 1):

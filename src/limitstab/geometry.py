@@ -259,18 +259,3 @@ def _split_rows(scaled: Tuple[int, ...], coeffs: Tuple[int, ...]):
     rows = sorted((sum(c * s for c, s in zip(g, scaled)), g) for g in box if any(g))
     minus = lambda g: _int_class(tuple(map(int.__sub__, coeffs, g)))
     return tuple((e, _int_class(g), minus(g)) for e, g in rows)
-
-
-def decompositions(
-    model: NumericalThreefold, beta: CurveClass
-) -> Tuple[Tuple[CurveClass, Fraction, CurveClass], ...]:
-    """The split table: (beta1, deg beta1, beta2) for every ordered effective
-    splitting beta = beta1 + beta2 with beta1 != 0; beta2 = 0 is allowed.
-
-    Sorted by (deg beta1, coordinates of beta1).  The rows are ``_split_rows``
-    on the scaled integer degrees of ``_scaled_degrees``, each degree divided
-    by D once.
-    """
-    check_effective(model, beta)
-    scale, scaled = _scaled_degrees(model)
-    return tuple((b1, Fraction(e, scale), b2) for e, b1, b2 in _split_rows(scaled, beta.coeffs))

@@ -24,7 +24,8 @@ the smallest next multiple.  A Fraction is made only for a wall returned.
     mu(beta, n) = max over beta1 + beta2 = beta, beta1 != 0, of
                   (n - m(beta2)) / deg(beta1),
 
-with m(0) = 0, so the splitting (beta, 0) is always admissible.  Its half
+with m(0) = 0, so the splitting (beta, 0) is always admissible; ``_max_slope``
+takes it on ints for this module and the crossing cache alike.  Its half
 bounds the stable-pair chamber: the table equals the stable-pair count for
 k < -mu(beta, n)/2 and the dual count for k > mu(beta, -n)/2.
 
@@ -42,7 +43,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import TableArgumentError, show
 from .geometry import (
-    CurveClass, NumericalThreefold, _scaled_degrees, check_effective, decompositions, min_ch3
+    CurveClass, NumericalThreefold, _scaled_degrees, _split_rows, check_effective, min_ch3
 )
 
 
@@ -68,10 +69,10 @@ class Chamber(NamedTuple):
 
 
 def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[int, ...]]:
-    """``_grid_of`` for beta; the zero class, which has no walls, is rejected before the checks."""
+    """``_grid_of`` for beta; the zero class, which has no walls, is rejected after the checks."""
+    check_effective(model, beta)
     if beta.is_zero():
         raise TableArgumentError("wall set needs a nonzero class")
-    check_effective(model, beta)
     return _grid_of(*_scaled_degrees(model), beta.coeffs)
 
 
@@ -141,13 +142,28 @@ def is_wall(model: NumericalThreefold, beta: CurveClass, k) -> bool:
     return bool(_walls_in(_wall_grid(model, beta), k, k))
 
 
+def _max_slope(n, rows, m_of, scale: int) -> Tuple[int, int]:
+    """mu as ints (top, bottom > 0): the max over the split ``rows`` (D * deg beta1, beta1, beta2)
+    of (n - m(beta2)) / deg beta1, with ``m_of`` read in row order and D = ``scale``."""
+    if not rows:  # the zero class has no split
+        raise TableArgumentError("mu threshold needs a nonzero class")
+    a, b = (n if type(n) is int else Fraction(n)).as_integer_ratio()
+    top, bottom = -1, 0  # minus infinity, below every term
+    for e1, _, b2 in rows:  # (n - m) / deg beta1 = (a/b - c/e) * scale / e1
+        c, e = m_of(b2).as_integer_ratio()
+        num, den = (a * e - c * b) * scale, b * e * e1
+        if num * bottom > top * den:  # den > 0 and bottom >= 0, so this is num/den > top/bottom
+            top, bottom = num, den
+    return top, bottom
+
+
 def mu_threshold(model: NumericalThreefold, beta: CurveClass, n) -> Fraction:
     """max over splittings of (n - m(beta2)) / deg(beta1); finite by construction."""
-    if beta.is_zero():
-        raise TableArgumentError("mu threshold needs a nonzero class")
-    n = Fraction(n)
+    check_effective(model, beta)
+    scale, scaled = _scaled_degrees(model)
     # min_ch3 runs in split order, so the first class without m data is the one named
-    return max((n - min_ch3(model, beta2)) / deg1 for _, deg1, beta2 in decompositions(model, beta))
+    m_of = lambda beta2: min_ch3(model, beta2)
+    return Fraction(*_max_slope(n, _split_rows(scaled, beta.coeffs), m_of, scale))
 
 
 def pt_bounds(
@@ -157,11 +173,3 @@ def pt_bounds(
     k_pt = -mu_threshold(model, beta, n) / 2
     k_dual = mu_threshold(model, beta, -Fraction(n)) / 2
     return k_pt, k_dual
-
-
-def chambers(
-    model: NumericalThreefold, beta: CurveClass, k_lo, k_hi
-) -> List[Chamber]:
-    """Open intervals between consecutive walls, clipped to [k_lo, k_hi]."""
-    ws = wall_set(model, beta, k_lo, k_hi)
-    return _chambers_of(ws.walls, *ws.interval)

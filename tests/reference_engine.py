@@ -26,7 +26,7 @@ from fractions import Fraction
 from limitstab.crossing import ChamberTable, DatumContribution, WallDatum, WallReport
 from limitstab.errors import ModelDataError, TableArgumentError, show
 from limitstab.geometry import CurveClass, check_effective, degree
-from limitstab.walls import Chamber
+from limitstab.walls import Chamber, WallSet
 
 F = Fraction
 
@@ -64,21 +64,33 @@ def _splits(model, beta):
 
 
 def mu_threshold(model, beta, n):
+    check_effective(model, beta)
     if beta.is_zero():
         raise TableArgumentError("mu threshold needs a nonzero class")
-    check_effective(model, beta)
     return max((F(n) - min_ch3(model, b2)) / degree(model, b1) for b1, b2 in _splits(model, beta))
+
+
+def pt_bounds(model, beta, n):
+    return -mu_threshold(model, beta, n) / 2, mu_threshold(model, beta, -F(n)) / 2
 
 
 def walls_in(model, beta, k_lo, k_hi):
     """The walls m / (2 deg gamma) of beta in [k_lo, k_hi], sorted."""
     found = set()
-    for gamma in effective_below(model, beta):
-        if not gamma.is_zero():
-            twice = 2 * degree(model, gamma)
-            ms = range(math.ceil(k_lo * twice), math.floor(k_hi * twice) + 1)
-            found.update(F(m) / twice for m in ms)
+    for twice in {2 * degree(model, g) for g in effective_below(model, beta) if not g.is_zero()}:
+        ms = range(math.ceil(k_lo * twice), math.floor(k_hi * twice) + 1)
+        found.update(F(m) / twice for m in ms)
     return sorted(found)
+
+
+def wall_set(model, beta, k_lo, k_hi):
+    k_lo, k_hi = F(k_lo), F(k_hi)
+    if not k_lo < k_hi:
+        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
+    check_effective(model, beta)
+    if beta.is_zero():
+        raise TableArgumentError("wall set needs a nonzero class")
+    return WallSet(beta, (k_lo, k_hi), tuple(walls_in(model, beta, k_lo, k_hi)))
 
 
 def enumerate_wall_data(model, beta, n, k0):
@@ -128,7 +140,7 @@ def invariant_value(model, beta, n, k, from_right=False):
             total = _report(model, beta, n, w).total
             if total:
                 value -= total
-    return value
+    return F(value)  # an int seed with no jump below k is a Fraction too
 
 
 def l_at_wall(model, beta2, n2, k0):
@@ -145,8 +157,10 @@ def cross_wall(model, beta, n, k0, l_minus):
 
 def chamber_table(model, beta, n, k_lo, k_hi):
     k_lo, k_hi = F(k_lo), F(k_hi)
-    model.check_rank(beta)
-    if beta.is_zero() or not beta.is_effective():
+    if not k_lo < k_hi:
+        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
+    check_effective(model, beta)
+    if beta.is_zero():
         raise TableArgumentError("chamber tables need a nonzero effective class")
     k_pt = -mu_threshold(model, beta, n) / 2
     if not k_lo < k_pt:
@@ -154,8 +168,6 @@ def chamber_table(model, beta, n, k_lo, k_hi):
             f"interval must start below the seed bound k_pt = {show(k_pt)}, got k_lo = {show(k_lo)}"
         )
     seed = _seed(model, beta, n)
-    if not k_lo < k_hi:
-        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
     points = [w for w in walls_in(model, beta, k_lo, k_hi) if k_lo < w < k_hi]
     bounds = [k_lo, *points, k_hi]
     entries, reports, value = [(Chamber(k_lo, bounds[1]), seed)], [], seed

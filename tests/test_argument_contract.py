@@ -21,6 +21,7 @@ from limitstab.crossing import TableCache, chamber_table, pt_symmetry_check
 from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass
 from limitstab.presets import build_preset, conifold_double, conifold_pair, conifold_single
+from limitstab.walls import wall_set
 
 X = conifold_single(1)
 PAIR = ch_of_pair(CurveClass((1,)), 1)
@@ -95,6 +96,15 @@ CASES = [
          "n_max must be at least 1, got 0"),
         ("series-negative_n_max", lambda: pt_symmetry_check(X, CurveClass((1,)), -1),
          "n_max must be at least 1, got -1"),
+        # of two bad arguments, the one the CLI reports first
+        ("table-empty_interval_before_class", lambda: chamber_table(X, CurveClass((-1,)), 1, 0, -1),
+         "empty interval [0, -1]"),
+        ("table-class_before_seed_bound", lambda: chamber_table(X, CurveClass((-1,)), 1, -1, 0),
+         "(-1) is not effective"),
+        ("series-class_before_n_max", lambda: pt_symmetry_check(X, CurveClass((-1,)), 0),
+         "(-1) is not effective"),
+        ("walls-rank_before_zero_class", lambda: wall_set(X, CurveClass((0, 0)), -1, 0),
+         "class (0,0) has rank 2, model has rank 1"),
     )
 ]
 

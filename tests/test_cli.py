@@ -377,6 +377,13 @@ def test_model_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def test_an_empty_range_is_reported_by_the_engine_before_the_class(capsys):
+    table = ("table", "--preset", "conifold_double:1", "--n", "4", "--range", "0:-1")
+    for beta in ("2", "-1", "1,1"):
+        assert run_cli(*table, "--beta", beta) == (2, "")
+        assert capsys.readouterr().err == "usage error: empty interval [0, -1]\n"
+
+
 def test_a_class_coordinate_int_would_read_is_a_usage_error(capsys):
     for beta in ("1_0", "+1", "1,x", "\u0661", "1,\uff11"):
         assert run_cli("mu", "--preset", "conifold_single:1", "--beta", beta, "--n", "1") == (2, "")

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from limitstab.geometry import (
     _ConeIndex,
     _scaled_degrees,
     _split_rows,
-    decompositions,
     degree,
     min_ch3,
 )
@@ -114,23 +114,35 @@ def test_chamber_table_requires_seed_coverage():
     single = conifold_single(1)
     with pytest.raises(TableArgumentError, match="below the seed bound"):
         chamber_table(single, C1_, 1, F(-1, 4), 0)
-    for beta in (CurveClass((0,)), CurveClass((-1,))):
-        with pytest.raises(TableArgumentError, match="nonzero effective class"):
+    for beta, text in ((CurveClass((0,)), "chamber tables need a nonzero effective class"),
+                       (CurveClass((-1,)), "(-1) is not effective")):
+        with pytest.raises(TableArgumentError, match=f"^{re.escape(text)}$"):
             chamber_table(single, beta, 1, -1, 0)
     with pytest.raises(ModelDataError, match="p_seed has no entry"):
         chamber_table(single, C1_, 7, -10, 0)
 
 
-def test_chamber_table_rejects_an_empty_interval_after_its_seed_checks():
+def test_chamber_table_rejects_an_empty_interval_before_its_other_checks():
     single = conifold_single(1)  # k_pt = -1/2 for n = 1, and a seed exists
     for k_lo, k_hi in ((F(-1), F(-1)), (F(-1), F(-2)), (F(-3, 4), F(-5, 4))):
         with pytest.raises(TableArgumentError, match=rf"^empty interval \[{k_lo}, {k_hi}\]$"):
             chamber_table(single, C1_, 1, k_lo, k_hi)
-    # the seed bound is checked first, then the seed
-    with pytest.raises(TableArgumentError, match="below the seed bound"):
-        chamber_table(single, C1_, 1, 0, -1)
+    # the interval is checked first: before the class, the seed bound and the seed
+    for beta, n, k_lo, k_hi in ((C1_, 1, 0, -1), (C1_, 7, -10, -11), (CurveClass((-1,)), 1, 0, -1),
+                                (CurveClass((0,)), 1, 0, -1), (CurveClass((1, 1)), 1, 0, -1)):
+        with pytest.raises(TableArgumentError, match=rf"^empty interval \[{k_lo}, {k_hi}\]$"):
+            chamber_table(single, beta, n, k_lo, k_hi)
+    # then the rank and effectivity of the class, its zero class, the seed bound, the seed
+    for beta, n, k_lo, text in (
+        (CurveClass((0, 0)), 1, 0, "class (0,0) has rank 2, model has rank 1"),
+        (CurveClass((-1,)), 7, 0, "(-1) is not effective"),
+        (CurveClass((0,)), 7, 0, "chamber tables need a nonzero effective class"),
+        (C1_, 7, 0, "interval must start below the seed bound k_pt = -7/2, got k_lo = 0"),
+    ):
+        with pytest.raises(TableArgumentError, match=f"^{re.escape(text)}$"):
+            chamber_table(single, beta, n, k_lo, 1)
     with pytest.raises(ModelDataError, match="p_seed has no entry"):
-        chamber_table(single, C1_, 7, -10, -11)
+        chamber_table(single, C1_, 7, -10, 0)
 
 
 def test_telescoping_identity():
@@ -577,10 +589,10 @@ def test_a_shared_cache_answers_every_query_as_a_fresh_one(case, data):
         )
     for b, grid in cache.grids.items():
         assert grid == _wall_grid(model, b)
-    scale = cache._cone.scale
     for b, splits in cache.splits.items():
-        # each row's int degree e over the cache's scale D is deg beta1
-        assert tuple((b1, F(e, scale), b2) for e, b1, b2 in splits) == decompositions(model, b)
+        # each row's int degree e over the cache's scale D is deg beta1, in the reference's order
+        assert [(b1, b2) for _, b1, b2 in splits] == reference_engine._splits(model, b)
+        assert all(F(e, cache._cone.scale) == degree(model, b1) for e, b1, _ in splits)
     for b, (m, ceiling) in cache.m.items():
         assert (m, ceiling) == (min_ch3(model, b), math.ceil(m))
     for (b, n, num, den), total in cache.jumps.items():
@@ -697,7 +709,8 @@ def test_each_class_is_split_once_per_cache(monkeypatch):
     # split row's int degree e over their scale D is deg beta1
     assert scaled == [double] and cache._cone.scale == 1
     for beta, splits in cache.splits.items():
-        assert tuple((b1, F(e, 1), b2) for e, b1, b2 in splits) == decompositions(double, beta)
+        assert [(b1, b2) for _, b1, b2 in splits] == reference_engine._splits(double, beta)
+        assert all(e == degree(double, b1) for e, b1, _ in splits)
     # a second table on the same cache splits and bounds nothing new
     before = len(split), len(bounded), len(scaled)
     chamber_table(double, C2_, 3, -2, 0, cache)
@@ -760,12 +773,13 @@ def test_cone_index_bounds_equal_the_cone_walk(case):
     ))
 
 
-def _bounds_or_error(model, beta, ns):
-    """pt_bounds for each n in turn, up to the first error."""
+def _bounds_or_error(model, beta, ns, bounds_of=reference_engine.pt_bounds):
+    """``bounds_of``, the reference's pt_bounds by default, for each n in turn, up to the
+    first error."""
     bounds = []
     for n in ns:
         try:
-            bounds.append(pt_bounds(model, beta, n))
+            bounds.append(bounds_of(model, beta, n))
         except (TableArgumentError, ModelDataError) as exc:
             return bounds, ("error", type(exc), str(exc))
     return bounds, None
@@ -780,6 +794,7 @@ def test_table_seed_bounds_equal_pt_bounds(case):
     for beta in classes:
         for n in (1, -2, 0, 2, -1):
             bounds, error = _bounds_or_error(model, beta, [n])
+            assert _bounds_or_error(model, beta, [n], pt_bounds) == (bounds, error)
             # k_pt, as chamber_table states it when the interval starts above it
             expected = error or ("error", TableArgumentError, (
                 f"interval must start below the seed bound k_pt = {bounds[0][0]}, got k_lo = 99"

@@ -11,7 +11,8 @@ from limitstab.errors import ModelDataError
 from limitstab.geometry import (
     CurveClass,
     NumericalThreefold,
-    decompositions,
+    _scaled_degrees,
+    _split_rows,
     degree,
     effective_below,
     min_ch3,
@@ -19,7 +20,15 @@ from limitstab.geometry import (
 )
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 
+import reference_engine
+
 F = Fraction
+
+
+def _split_table(model, beta):
+    """``_split_rows`` of beta as (beta1, deg beta1, beta2): each int degree over the scale D."""
+    scale, scaled = _scaled_degrees(model)
+    return tuple((b1, F(e, scale), b2) for e, b1, b2 in _split_rows(scaled, beta.coeffs))
 
 
 def test_degree_examples():
@@ -103,18 +112,18 @@ def test_min_ch3_monotone_under_cone_inclusion():
     assert min_ch3(model, b1) >= min_ch3(model, b2)
 
 
-def test_decompositions_examples():
+def test_split_rows_examples():
     single = conifold_single(1)
-    assert decompositions(single, CurveClass((1,))) == (
+    assert _split_table(single, CurveClass((1,))) == (
         (CurveClass((1,)), F(1), CurveClass((0,))),
     )
     double = conifold_double(1)
-    assert set(decompositions(double, CurveClass((2,)))) == {
+    assert set(_split_table(double, CurveClass((2,)))) == {
         (CurveClass((1,)), F(1), CurveClass((1,))),
         (CurveClass((2,)), F(2), CurveClass((0,))),
     }
     pair = conifold_pair(3, 2)
-    assert set(decompositions(pair, CurveClass((1, 1)))) == {
+    assert set(_split_table(pair, CurveClass((1, 1)))) == {
         (CurveClass((1, 0)), F(3), CurveClass((0, 1))),
         (CurveClass((0, 1)), F(2), CurveClass((1, 0))),
         (CurveClass((1, 1)), F(5), CurveClass((0, 0))),
@@ -131,13 +140,16 @@ def test_degree_is_linear(g1, g2):
 
 
 @given(small_classes)
-def test_decompositions_split_degree_exactly(beta):
+def test_split_rows_split_degree_exactly(beta):
     pair = conifold_pair(3, 2)
-    for b1, d1, b2 in decompositions(pair, beta):
+    splits = _split_table(pair, beta)
+    for b1, d1, b2 in splits:
         assert not b1.is_zero()
         assert b1.is_effective() and b2.is_effective()
         assert d1 == degree(pair, b1)
         assert degree(pair, b1) + degree(pair, b2) == degree(pair, beta)
+    # the reference's splits, from its own cone walk, in the same order
+    assert [(b1, b2) for b1, _, b2 in splits] == reference_engine._splits(pair, beta)
 
 
 def _reference_cone(degrees, coeffs):
@@ -186,7 +198,7 @@ def test_effective_below_matches_the_sorted_box(case, data):
 
 @settings(max_examples=60, deadline=None)
 @given(case=_cone_cases())
-def test_decompositions_match_the_sorted_box(case):
+def test_split_rows_match_the_sorted_box(case):
     degrees, coeffs = case
     model = NumericalThreefold(
         basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)), omega_cubed=F(1)
@@ -196,12 +208,14 @@ def test_decompositions_match_the_sorted_box(case):
     reference = sorted(
         (sum(c * d for c, d in zip(g, degrees)), g) for g in box if any(g)
     )
-    splits = decompositions(model, CurveClass(coeffs))
-    assert type(splits) is tuple
+    splits = _split_table(model, CurveClass(coeffs))
+    assert type(_split_rows(_scaled_degrees(model)[1], coeffs)) is tuple
     assert [(d1, b1.coeffs) for b1, d1, _ in splits] == reference
     for b1, d1, b2 in splits:
         assert d1 == degree(model, b1)
         assert b1 + b2 == CurveClass(coeffs)
+    expected = reference_engine._splits(model, CurveClass(coeffs))
+    assert [(b1, b2) for b1, _, b2 in splits] == expected
 
 
 def test_effective_below_computes_each_degree_once(monkeypatch):
@@ -225,7 +239,7 @@ def test_effective_below_computes_each_degree_once(monkeypatch):
         assert calls == [beta] + [CurveClass(g) for g in box]
 
 
-def test_decompositions_make_no_degree_call(monkeypatch):
+def test_split_rows_make_no_degree_call(monkeypatch):
     # the split degrees come from the scaled integer degrees, one Fraction each
     calls = []
     monkeypatch.setattr(geometry, "degree", lambda model, gamma: calls.append(gamma))
@@ -237,7 +251,7 @@ def test_decompositions_make_no_degree_call(monkeypatch):
         (conifold_pair(3, 2), CurveClass((1, 1))),
         (rank3, CurveClass((2, 1, 1))),
     ):
-        assert decompositions(model, beta)
+        assert _split_table(model, beta)
     assert calls == []
 
 

@@ -28,7 +28,9 @@ from fractions import Fraction
 
 import pytest
 
-from limitstab.crossing import TableCache, chamber_table, enumerate_wall_data
+from limitstab.crossing import (
+    TableCache, chamber_table, enumerate_wall_data, invariant_value, l_at_wall
+)
 from limitstab.errors import ModelDataError
 from limitstab.geometry import CurveClass, NumericalThreefold, min_ch3
 from limitstab.walls import mu_threshold
@@ -153,6 +155,17 @@ def test_an_int_seeded_table_keeps_its_value_types():
     assert [repr(v) for _, v in table.entries] == ["-4"] + ["Fraction(-4, 1)"] * 5
     assert all(v is table.entries[1][1] for _, v in table.entries[1:])
     assert table.merged() == ((F(-2), F(-1, 2), F(-4)),) and table.effective_walls() == ()
+
+
+def test_a_point_query_on_an_int_seed_returns_a_fraction():
+    # no jump of ([C], 2) lies below k = -1 < k_pt = -1/2: the answer is the seed, as a Fraction
+    model = heavy_curve_model()
+    ints = _replaced(model, p_seed={k: int(v) for k, v in model.p_seed.items() if v.denominator == 1})
+    c = CurveClass((1,))
+    assert type(ints.p_seed[(2, c)]) is int
+    table = chamber_table(ints, c, 2, -2, F(-1, 2))
+    for value in (invariant_value(ints, c, 2, -1), l_at_wall(ints, c, 2, -1)):
+        assert repr(value) == "Fraction(-4, 1)" == repr(table.value_at(F(-9, 8)))
 
 
 def negative_m_model():

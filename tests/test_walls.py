@@ -10,13 +10,15 @@ from limitstab.geometry import CurveClass, NumericalThreefold, degree, effective
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import (
     Chamber,
-    chambers,
+    _chambers_of,
     is_wall,
     mu_threshold,
     next_wall_above,
     pt_bounds,
     wall_set,
 )
+
+import reference_engine
 
 F = Fraction
 
@@ -46,20 +48,21 @@ def test_wall_set_rejects_bad_input():
         wall_set(single, CurveClass((1,)), 1, 0)
     with pytest.raises(TableArgumentError, match=r"^class \(1,1\) has rank 2, model has rank 1$"):
         wall_set(single, CurveClass((1, 1)), -1, 0)
-    # checked in this order: interval, zero class, rank, effectivity
+    # checked in this order: interval, rank, effectivity, zero class
     for beta, k_lo, k_hi, text in (
         ((0,), 1, 0, r"^empty interval \[1, 0\]$"),
         ((-1,), 0, 0, r"^empty interval \[0, 0\]$"),
-        ((0, 0), -1, 0, r"^wall set needs a nonzero class$"),
+        ((0, 0), -1, 0, r"^class \(0,0\) has rank 2, model has rank 1$"),
         ((-1, 1), -1, 0, r"^class \(-1,1\) has rank 2, model has rank 1$"),
         ((-1,), -1, 0, r"^\(-1\) is not effective$"),
     ):
-        with pytest.raises(TableArgumentError, match=text):
-            wall_set(single, CurveClass(beta), k_lo, k_hi)
+        for engine in (wall_set, reference_engine.wall_set):
+            with pytest.raises(TableArgumentError, match=text):
+                engine(single, CurveClass(beta), k_lo, k_hi)
     for query in (is_wall, next_wall_above):
         for beta, text in (
             ((0,), r"^wall set needs a nonzero class$"),
-            ((0, 0), r"^wall set needs a nonzero class$"),
+            ((0, 0), r"^class \(0,0\) has rank 2, model has rank 1$"),
             ((-1, 1), r"^class \(-1,1\) has rank 2, model has rank 1$"),
             ((-1,), r"^\(-1\) is not effective$"),
         ):
@@ -205,18 +208,24 @@ def test_pt_bounds_land_on_the_wall_lattice():
             assert is_wall(model, beta, k_dual)
 
 
+def _chambers(model, beta, k_lo, k_hi):
+    """The chambers of beta's walls in [k_lo, k_hi], clipped to it, as chamber_table cuts them."""
+    ws = wall_set(model, beta, k_lo, k_hi)
+    return _chambers_of(ws.walls, *ws.interval)
+
+
 def test_chambers_examples():
     single = conifold_single(1)
-    assert chambers(single, CurveClass((1,)), -1, 0) == [
+    assert _chambers(single, CurveClass((1,)), -1, 0) == [
         Chamber(F(-1), F(-1, 2)),
         Chamber(F(-1, 2), F(0)),
     ]
     double = conifold_double(1)
-    chs = chambers(double, CurveClass((2,)), -2, F(-1, 2))
+    chs = _chambers(double, CurveClass((2,)), -2, F(-1, 2))
     assert Chamber(F(-3, 2), F(-5, 4)) in chs
     assert Chamber(F(-5, 4), F(-1)) in chs
     # no wall strictly inside a narrow window: one chamber spanning it
-    tight = chambers(single, CurveClass((1,)), F(-2, 5), F(-1, 10))
+    tight = _chambers(single, CurveClass((1,)), F(-2, 5), F(-1, 10))
     assert tight == [Chamber(F(-2, 5), F(-1, 10))]
 
 
@@ -231,15 +240,6 @@ def test_next_wall_above():
 
 def _reference_degrees(model, beta):
     return sorted({degree(model, g) for g in effective_below(model, beta) if not g.is_zero()})
-
-
-def _reference_walls(model, beta, k_lo, k_hi):
-    """Every m / (2d) in [k_lo, k_hi], one Fraction per candidate."""
-    walls = set()
-    for d in _reference_degrees(model, beta):
-        for m in range(math.ceil(k_lo * 2 * d), math.floor(k_hi * 2 * d) + 1):
-            walls.add(Fraction(m, 2 * d))
-    return tuple(sorted(walls))
 
 
 @st.composite
@@ -273,10 +273,10 @@ def _grid_cases(draw):
 def test_integer_grid_matches_the_fraction_reference(case):
     model, beta, k_lo, k_hi = case
     walls = wall_set(model, beta, k_lo, k_hi)
-    assert walls.walls == _reference_walls(model, beta, k_lo, k_hi)
+    assert repr(walls) == repr(reference_engine.wall_set(model, beta, k_lo, k_hi))
     assert walls.interval == (k_lo, k_hi) and walls.beta == beta
     for k in (k_lo, k_hi, (k_lo + k_hi) / 2):
-        assert is_wall(model, beta, k) == (k in _reference_walls(model, beta, k - 1, k + 1))
+        assert is_wall(model, beta, k) == (k in reference_engine.walls_in(model, beta, k - 1, k + 1))
         # walls of a degree d >= 1/4 are at most 2 apart
-        above = [w for w in _reference_walls(model, beta, k, k + 2) if w > k]
+        above = [w for w in reference_engine.walls_in(model, beta, k, k + 2) if w > k]
         assert next_wall_above(model, beta, k) == above[0]
