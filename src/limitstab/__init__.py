@@ -31,6 +31,7 @@ from .crossing import (
     TableCache,
     WallDatum,
     chamber_table,
+    chamber_values,
     cross_wall,
     enumerate_wall_data,
     hn_sort,
@@ -73,6 +74,7 @@ __all__ = [
     "TableCache",
     "WallDatum",
     "chamber_table",
+    "chamber_values",
     "cross_wall",
     "enumerate_wall_data",
     "hn_sort",

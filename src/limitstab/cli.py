@@ -23,8 +23,10 @@ from .comparator import compare_phases, compare_phases_closed, cross_leading_ter
 from .crossing import (
     TableCache,
     chamber_table,
+    chamber_values,
     cross_wall,
     invariant_value,
+    merge_runs,
     pt_symmetry_check,
 )
 from .errors import LimitStabError, TableArgumentError
@@ -146,7 +148,7 @@ def _cmd_cross(model, args, out):
 
 
 def _cmd_table(model, args, out):
-    for lo, hi, value in chamber_table(model, args.beta, args.n, *args.range).merged():
+    for lo, hi, value in merge_runs(chamber_values(model, args.beta, args.n, *args.range)):
         out.write(
             f"{format_rational(lo)}\t{format_rational(hi)}\t{format_rational(value)}\n"
         )

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import groupby
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError, show
 from .geometry import CurveClass, NumericalThreefold, _ConeIndex, _split_rows, check_effective
-from .walls import Chamber, _chambers_of, _grid_of, _grid_walls, _next_above, _walls_in
+from .walls import Chamber, _chambers_of, _grid_of, _next_above, _walls_in
 from .walls import _max_slope, mu_threshold
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -99,17 +100,17 @@ class TableCache:
       chamber values;
     * ``reports[(beta, n, k0.numerator, k0.denominator)]`` -- wall reports,
       filled by ``chamber_table`` and ``cross_wall``;
-    * ``jumps[(beta, n, k0.numerator, k0.denominator)]`` -- a report's total,
-      summed without its terms where the march finds no report;
+    * ``jumps[(beta, n, k0.numerator, k0.denominator)]`` -- at a wall where a split has a
+      nonzero count, a report's total, summed without its terms where no report is filled;
     * ``ledgers[(beta, n)]`` -- ``[reach, walls, sums]``: of the walls j/G from
       k_pt to j < reach, the j with a nonzero jump and their running sums, no seed;
     * ``splits[beta]`` -- ``geometry._split_rows`` of beta, in order: each split
       as ``(e, beta1, beta2)`` with the int e = D * deg beta1;
     * ``m[beta2]`` -- ``min_ch3(model, beta2)`` and its ceiling, by one bisect
       of the cone index ``geometry._ConeIndex``; a failing read is not stored;
-    * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps)
-      that the march, ``chamber_table`` and ``pt_symmetry_check`` read their
-      walls from.
+    * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps):
+      the march reads only G, ``chamber_values`` and ``pt_symmetry_check``
+      read their walls from the steps too.
 
     The point keys hold ints only, so a hit in ``values`` or ``reports`` is
     one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
@@ -177,7 +178,7 @@ def _grid(beta: CurveClass, cache: TableCache):
     return grid
 
 
-def _mu(model: NumericalThreefold, beta: CurveClass, n, cache: TableCache) -> Fraction:
+def _mu(beta: CurveClass, n, cache: TableCache) -> Fraction:
     """``mu_threshold`` as one Fraction of ``_mu_ints``."""
     return Fraction(*_mu_ints(beta, n, cache))
 
@@ -271,8 +272,8 @@ def _march(
     every wall w with k_pt <= w < k, plus w = k itself when the value just
     right of k is wanted.  Walls below k_pt carry no admissible data with a
     nonzero jump (the seed law), so the ledger of (beta, n) starts at
-    ceil(k_pt * G) on beta's grid (G, steps): from ``_mu_ints`` once per ledger
-    for a fill's read (``cached_mu``), from ``mu_threshold`` on every miss of a
+    ceil(k_pt * G) on beta's grid: from ``_mu_ints`` once per ledger for a
+    fill's read (``cached_mu``), from ``mu_threshold`` on every miss of a
     point query.  A miss extends the ledger over the ints j up to k only, and
     subtracts from the seed the running sum one bisect finds there.
     """
@@ -284,45 +285,54 @@ def _march(
         value = _seed(model, beta, n)
         top, bottom = (_mu_ints(beta, n, cache) if cached_mu
                        else mu_threshold(model, beta, n).as_integer_ratio())
-        G, steps = _grid(beta, cache)
+        G = _grid(beta, cache)[0]
         # ceil(k_pt * G) with k_pt = -top / (2 * bottom); a derived seed may have made the ledger
         ledger = cache.ledgers.setdefault((beta, n), [-(top * G // (2 * bottom)), [], []])
     else:
-        value = model.p_seed[(n, beta)]
-        G, steps = _grid(beta, cache)
+        value, G = model.p_seed[(n, beta)], _grid(beta, cache)[0]
     # the exclusive j bound of the walls crossed: j <= k*G from the right, j < k*G from the left
     end = num * G // den + 1 if from_right else -(-num * G // den)
     _, walls, sums = ledger
-    for j in _grid_walls(steps, ledger[0], end - 1):
-        g = math.gcd(j, G)
-        if total := _jump(model, beta, n, j // g, G // g, cache):
-            walls.append(j)
-            sums.append(sums[-1] + total if sums else total)
-        ledger[0] = j + 1  # a failing jump leaves the ledger at the walls it passed
-    ledger[0] = max(ledger[0], end)
+    if ledger[0] < end:
+        for j, total in _jumps(model, beta, n, ledger[0], end - 1, cache):
+            if total:
+                walls.append(j)
+                sums.append(sums[-1] + total if sums else total)
+            ledger[0] = j + 1  # a failing jump leaves the ledger at the walls it passed
+        ledger[0] = end
     if crossed := bisect_left(walls, end):
         value -= sums[crossed - 1]
     cache.values[(beta, n, num, den, from_right)] = value = _as_fraction(value)
     return value
 
 
-def _jump(model: NumericalThreefold, beta: CurveClass, n: int, num: int, den: int, cache):
-    """The jump at the wall num/den (lowest terms): its report's total once one is filled, else
-    a sum in ``_wall_data`` order that skips a non-integral or zero n1 and an absent or zero
-    count on ints.  A ledger crosses each wall once, so ``cache.jumps`` only records the sum."""
-    key = (beta, n, num, den)
-    if (report := cache.reports.get(key)) is not None:
-        return report.total
-    total, twice, scaled = _ZERO, -2 * num, den * cache._cone.scale
-    for e1, beta1, beta2 in _splits(beta, cache):
-        n1, rest = divmod(twice * e1, scaled)
-        if rest or not n1 or not (count := model.n_table.get((n1, beta1))):
+def _jumps(model: NumericalThreefold, beta: CurveClass, n: int, j_lo: int, j_hi: int, cache):
+    """(j, jump) at each wall j/G of beta, j_lo <= j <= j_hi, where a split has a nonzero count:
+    the split (e1, beta1, beta2) sits at j = q * D*G/(2*e1) with n1 = -q, and its rows are the
+    q != 0 with N(-q, beta1) != 0.  Summed in (j, split) order, they read m(beta2) and recurse as a
+    walk over every wall and split would; a filled report's total stands for its wall's rows."""
+    G = _grid(beta, cache)[0]
+    dg, rows = cache._cone.scale * G, []
+    for i, (e1, beta1, beta2) in enumerate(_splits(beta, cache)):
+        step = dg // (2 * e1)
+        for q in range(-(-j_lo // step), j_hi // step + 1):
+            if q and (count := model.n_table.get((-q, beta1))):
+                rows.append((q * step, i, -q, count, beta2))
+    rows.sort()
+    for j, group in groupby(rows, lambda row: row[0]):
+        g = math.gcd(j, G)
+        num, den = j // g, G // g
+        if (report := cache.reports.get((beta, n, num, den))) is not None:
+            yield j, report.total
             continue
-        n2, lo = n - n1, _m(beta2, cache)[1]
-        if n2 >= lo or (-n2 >= lo and not beta2.is_zero()):
-            total += (n1 if n1 % 2 else -n1) * count * _at_wall(model, beta2, n2, num, den, cache)
-    cache.jumps[key] = total
-    return total
+        total = _ZERO
+        for _, _, n1, count, beta2 in group:
+            n2, lo = n - n1, _m(beta2, cache)[1]
+            if n2 >= lo or (-n2 >= lo and not beta2.is_zero()):
+                if l_value := _at_wall(model, beta2, n2, num, den, cache):
+                    total += (n1 if n1 % 2 else -n1) * count * l_value
+        cache.jumps[(beta, n, num, den)] = total
+        yield j, total
 
 
 def _wall_total(model: NumericalThreefold, beta: CurveClass, n: int, k0: Fraction, cache):
@@ -411,16 +421,66 @@ class ChamberTable(NamedTuple):
         return tuple(ca.hi for (ca, va), (_, vb) in pairs if va is not vb and va != vb)
 
     def merged(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-        """Runs of equal value: (lo, hi, value), consecutive chambers fused (a zero jump keeps
-        the value's object, so ``==`` runs only at a real jump)."""
-        runs: List[Tuple[Fraction, Fraction, Fraction]] = []
-        for chamber, value in self.entries:
-            if runs and (runs[-1][2] is value or runs[-1][2] == value):
-                lo, _, _ = runs[-1]
-                runs[-1] = (lo, chamber.hi, value)
-            else:
-                runs.append((chamber.lo, chamber.hi, value))
-        return tuple(runs)
+        return merge_runs(self.entries)
+
+
+def merge_runs(entries) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+    """Runs of equal value in table ``entries``: (lo, hi, value), consecutive chambers fused (a
+    zero jump keeps the value's object, so ``==`` runs only at a real jump)."""
+    runs: List[Tuple[Fraction, Fraction, Fraction]] = []
+    for chamber, value in entries:
+        if runs and (runs[-1][2] is value or runs[-1][2] == value):
+            lo, _, _ = runs[-1]
+            runs[-1] = (lo, chamber.hi, value)
+        else:
+            runs.append((chamber.lo, chamber.hi, value))
+    return tuple(runs)
+
+
+def chamber_values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi,
+                   cache: Optional[TableCache] = None) -> Tuple[Tuple[Chamber, Fraction], ...]:
+    """``chamber_table``'s entries (chamber, value) without its reports: the seed as stored, less
+    each ``_jumps`` sum inside (k_lo, k_hi); a zero jump keeps the value object."""
+    return _values(model, beta, n, k_lo, k_hi, _bound_cache(cache, model), None)
+
+
+def _values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cache, reports):
+    """``chamber_values`` on a bound cache; a ``reports`` list first gets every wall's report."""
+    k_lo, k_hi = _as_fraction(k_lo), _as_fraction(k_hi)
+    if not k_lo < k_hi:
+        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
+    check_effective(model, beta)
+    if beta.is_zero():
+        raise TableArgumentError("chamber tables need a nonzero effective class")
+    k_pt = -_mu(beta, n, cache) / 2
+    if not k_lo < k_pt:
+        raise TableArgumentError(
+            f"interval must start below the seed bound k_pt = {show(k_pt)}, got k_lo = {show(k_lo)}"
+        )
+    value = _seed(model, beta, n)
+    G, _ = grid = _grid(beta, cache)
+    chams = _chambers_of(_walls_in(grid, k_lo, k_hi), k_lo, k_hi)
+    if reports is not None:
+        reports.extend(_wall_total(model, beta, n, chamber.lo, cache) for chamber in chams[1:])
+    # the walls j/G strictly inside: floor(k_lo * G) < j < ceil(k_hi * G)
+    jumps = dict(_jumps(model, beta, n, k_lo.numerator * G // k_lo.denominator + 1,
+                        -(-k_hi.numerator * G // k_hi.denominator) - 1, cache))
+    entries, first = [(chams[0], value)], 0
+    for chamber in chams[1:]:
+        total = jumps.get(chamber.lo.numerator * G // chamber.lo.denominator, _ZERO)
+        # a zero jump leaves a Fraction value as it is; an int seed still turns into a Fraction
+        if total or type(value) is not Fraction:
+            value -= total
+            if total and not first:
+                first = len(entries)
+        entries.append((chamber, value))
+    # checked after every fill, so a fill's own error wins; the first jump ends the seed's run
+    if first and (chamber := entries[first][0]).hi <= k_pt:
+        raise ModelDataError(
+            f"model data violate the seed law: chamber {chamber} below "
+            f"k_pt = {show(k_pt)} carries {show(entries[first][1])} != seed {show(entries[0][1])}"
+        )
+    return tuple(entries)
 
 
 def chamber_table(
@@ -431,43 +491,12 @@ def chamber_table(
     k_hi,
     cache: Optional[TableCache] = None,
 ) -> ChamberTable:
-    """March the seed across every wall of [k_lo, k_hi].
-
-    Requires k_lo below the stable-pair bound so the seed anchors the
-    leftmost chamber, and a seed entry for (n, beta).  Sub-tables reached by
-    the recursion are memoized in the cache.
-    """
-    cache = _bound_cache(cache, model)
-    k_lo, k_hi = _as_fraction(k_lo), _as_fraction(k_hi)
-    if not k_lo < k_hi:
-        raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
-    check_effective(model, beta)
-    if beta.is_zero():
-        raise TableArgumentError("chamber tables need a nonzero effective class")
-    k_pt = -_mu(model, beta, n, cache) / 2
-    if not k_lo < k_pt:
-        raise TableArgumentError(
-            f"interval must start below the seed bound k_pt = {show(k_pt)}, got k_lo = {show(k_lo)}"
-        )
-    value = _seed(model, beta, n)
-    chams = _chambers_of(_walls_in(_grid(beta, cache), k_lo, k_hi), k_lo, k_hi)
-    entries, reports, first = [(chams[0], value)], [], 0
-    for chamber in chams[1:]:
-        report = _wall_total(model, beta, n, chamber.lo, cache)
-        # a zero jump leaves a Fraction value as it is; an int seed still turns into a Fraction
-        if report.total or type(value) is not Fraction:
-            value -= report.total
-            if report.total and not first:
-                first = len(entries)
-        reports.append(report)
-        entries.append((chamber, value))
-    # checked after every fill, so a fill's own error wins; the first jump ends the seed's run
-    if first and (chamber := entries[first][0]).hi <= k_pt:
-        raise ModelDataError(
-            f"model data violate the seed law: chamber {chamber} below "
-            f"k_pt = {show(k_pt)} carries {show(entries[first][1])} != seed {show(entries[0][1])}"
-        )
-    return ChamberTable(beta, n, (k_lo, k_hi), tuple(entries), tuple(reports))
+    """March the seed across every wall of [k_lo, k_hi]: ``chamber_values``, and the report that
+    explains each wall's jump.  Requires k_lo below the stable-pair bound so the seed anchors the
+    leftmost chamber, and a seed entry for (n, beta)."""
+    reports: List[WallReport] = []
+    entries = _values(model, beta, n, k_lo, k_hi, _bound_cache(cache, model), reports)
+    return ChamberTable(beta, n, (entries[0][0].lo, entries[-1][0].hi), entries, tuple(reports))
 
 
 class SymmetryRow(NamedTuple):
@@ -511,11 +540,10 @@ def pt_symmetry_check(
     rows = []
     coeffs: Dict[int, Fraction] = {}
     for n in range(1, n_max + 1):
-        k_pt, k_dual = -_mu(model, beta, n, cache) / 2, _mu(model, beta, -n, cache) / 2
+        k_pt, k_dual = -_mu(beta, n, cache) / 2, _mu(beta, -n, cache) / 2
         right = (k_dual + _next_above(_grid(beta, cache), k_dual)) / 2
-        table = chamber_table(model, beta, n, k_pt - 1, right, cache)
-        p_plus = table.seed
-        p_minus = table.entries[-1][1]
+        entries = chamber_values(model, beta, n, k_pt - 1, right, cache)
+        p_plus, p_minus = entries[0][1], entries[-1][1]
         n_value = model.n_table.get((n, beta))
         defect = (p_plus - p_minus) - (-1) ** (n - 1) * n * (n_value or Fraction(0))
         rows.append(SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect))

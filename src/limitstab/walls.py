@@ -15,8 +15,8 @@ basis-degree denominators, every effective class has the integer degree
 e = D * deg, and the wall m / (2 * deg) is j / G with G = lcm of the 2e over
 the degrees e <= D * deg(beta) and j = m * D * G / (2e).  So the walls of
 beta are the j / G whose j is a multiple of one of the steps D * G / (2e).
-``_grid_walls`` merges those progressions over a window on ints, for
-``wall_set``, ``is_wall`` and the crossing march, and ``_next_above`` takes
+``_walls_in`` merges those progressions over a window on ints, for
+``wall_set``, ``is_wall`` and the crossing tables, and ``_next_above`` takes
 the smallest next multiple.  A Fraction is made only for a wall returned.
 
 ``mu_threshold`` is the largest slope a destabilizing sheaf can carry:
@@ -89,20 +89,13 @@ def _grid_of(scale: int, scaled: Tuple[int, ...], coeffs: Tuple[int, ...]):
     return grid, tuple(scale * grid // (2 * e) for e in reached)
 
 
-def _grid_walls(steps: Tuple[int, ...], j_lo: int, j_hi: int):
-    """The j in [j_lo, j_hi] of the walls j/G on a grid (G, ``steps``), sorted."""
-    found = set()
-    for s in steps:
-        found.update(range(-(-j_lo // s) * s, j_hi + 1, s))
-    return sorted(found)
-
-
 def _walls_in(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
     """The walls in [k_lo, k_hi] of the class whose ``_wall_grid`` is ``grid_steps``, sorted."""
     grid, steps = grid_steps
     j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
     j_hi = k_hi.numerator * grid // k_hi.denominator
-    return tuple(Fraction(j, grid) for j in _grid_walls(steps, j_lo, j_hi))
+    found = {j for s in steps for j in range(-(-j_lo // s) * s, j_hi + 1, s)}
+    return tuple(Fraction(j, grid) for j in sorted(found))
 
 
 def _next_above(grid_steps: Tuple[int, Tuple[int, ...]], k: Fraction) -> Fraction:

@@ -185,3 +185,7 @@ def chamber_table(model, beta, n, k_lo, k_hi):
                 f"k_pt = {show(k_pt)} carries {show(val)} != seed {show(seed)}"
             )
     return ChamberTable(beta, n, (k_lo, k_hi), tuple(entries), tuple(reports))
+
+
+def chamber_values(model, beta, n, k_lo, k_hi):
+    return chamber_table(model, beta, n, k_lo, k_hi).entries

@@ -549,7 +549,8 @@ def _query_pool(model, beta):
     for n in range(-2, 3):
         k_pt = pt_bounds(model, beta, n)[0]
         walls = wall_set(model, beta, k_pt - 1, k_pt + 2).walls[:12]
-        out.append(("chamber_table", (beta, n, k_pt - 1, k_pt + 2)))
+        for name in ("chamber_table", "chamber_values"):
+            out.append((name, (beta, n, k_pt - 1, k_pt + 2)))
         for k in walls + tuple((a + b) / 2 for a, b in zip(walls, walls[1:])):
             out += [("invariant_value", (beta, n, k, side)) for side in (False, True)]
         for b, k in itertools.product(below, walls[::3]):
@@ -800,16 +801,14 @@ def test_table_seed_bounds_equal_pt_bounds(case):
                 f"interval must start below the seed bound k_pt = {bounds[0][0]}, got k_lo = 99"
             ))
             assert _outcome(lambda: chamber_table(model, beta, n, 99, 100, cache)) == expected
-    # pt_symmetry_check's (k_pt, k_dual) for each n, read off the table it asks
+    # pt_symmetry_check's (k_pt, k_dual) for each n, read off the values it asks
     # for: from k_pt - 1 up to midway between k_dual and the next wall above it
     # (a strictly increasing function of k_dual)
     seen = []
-    table = lambda model, beta, n, lo, hi, cache: seen.append((lo + 1, hi)) or (
-        crossing.ChamberTable(beta, n, (lo, hi), ((None, F(0)),), ())
-    )
+    values = lambda model, beta, n, lo, hi, cache: seen.append((lo + 1, hi)) or ((None, F(0)),)
     shared = TableCache()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crossing, "chamber_table", table)
+        patch.setattr(crossing, "chamber_values", values)
         for beta in order:  # the zero class included
             seen.clear()
             outcome = _outcome(lambda: pt_symmetry_check(model, beta, 3, shared))
@@ -853,7 +852,7 @@ def test_mu_from_the_split_ints_equals_mu_threshold(case):
     cache.bind(model)
     for beta in classes:
         for n in [*range(-4, 5), fraction_n]:
-            outcome = _outcome(lambda: crossing._mu(model, beta, n, cache))
+            outcome = _outcome(lambda: crossing._mu(beta, n, cache))
             assert outcome == _outcome(lambda: mu_threshold(model, beta, n))
             if outcome[0] == "ok":
                 assert type(outcome[1]) is Fraction
@@ -871,12 +870,12 @@ def test_mu_on_a_warm_cache_builds_one_fraction_and_does_no_fraction_arithmetic(
     cache, beta = TableCache(), CurveClass((2, 3))
     cache.bind(pair)
     points = [(beta, n) for n in range(-4, 5)] + [(CurveClass((1, 0)), 1), (CurveClass((0, 2)), -3)]
-    warm = [crossing._mu(pair, b, n, cache) for b, n in points]
+    warm = [crossing._mu(b, n, cache) for b, n in points]
     assert warm == [mu_threshold(pair, b, n) for b, n in points]
     names = ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__add__", "__sub__",
              "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "__neg__")
     counts = _count_fraction_work(monkeypatch, names)
-    again = [crossing._mu(pair, b, n, cache) for b, n in points]
+    again = [crossing._mu(b, n, cache) for b, n in points]
     assert counts == {"__new__": len(points), **dict.fromkeys(names, 0)}
     monkeypatch.undo()
     assert again == warm
@@ -1288,20 +1287,24 @@ def test_lazily_derived_seeds_give_the_tables_of_the_frozen_model():
     assert tables == [chamber_table(frozen, *window) for window in windows]
 
 
-def test_the_march_reads_the_reports_its_table_filled():
-    # basis degrees 1/2 and 3/2: the walls of (1,1) sit on the grid G = 24,
-    # but each report is keyed by its wall reduced to denominator 1, 2, 3 or 4
+def _half_degree_model():
+    # basis degrees 1/2 and 3/2, m = 1 on the cone of (1,1), counts at a few n1 only
     cone = [(a, 0) for a in range(1, 5)] + [(0, 1), (1, 1)]
     counts = (((1, 0), range(1, 5), 1), ((0, 1), range(1, 4), 1), ((2, 0), (1, 3), -1),
               ((1, 1), (2, 4), 2))
-    model = NumericalThreefold(
+    return NumericalThreefold(
         basis=(("C1", F(1, 2)), ("C2", F(3, 2))),
         omega_cubed=F(6),
         m_table={CurveClass(g): F(1) for g in cone},
         n_table={(s * n, CurveClass(g)): F(v) for g, ns, v in counts for n in ns for s in (1, -1)},
         p_seed=_SeedEverywhere(),
     )
-    cache = TableCache()
+
+
+def test_the_march_reads_the_reports_its_table_filled():
+    # the walls of (1,1) sit on the grid G = 24, but each report is keyed by
+    # its wall reduced to denominator 1, 2, 3 or 4
+    model, cache = _half_degree_model(), TableCache()
     tables = [chamber_table(model, PAIR_BETA, n, -n, 3 - n, cache) for n in (2, 3)]
     assert cache.grids[PAIR_BETA][0] == 24
     walls = [chamber.hi for table in tables for chamber, _ in table.entries[:-1]]
@@ -1314,3 +1317,41 @@ def test_the_march_reads_the_reports_its_table_filled():
             assert invariant_value(model, PAIR_BETA, table.n, w, False, cache) == left_value
             assert invariant_value(model, PAIR_BETA, table.n, w, True, cache) == right_value
     assert len(cache.reports) == size
+
+
+def _has_a_count(model, beta, k0):
+    """Whether some split (beta1, beta2) of beta has n1 = -2 * k0 * deg beta1 a nonzero integer
+    with a nonzero N(n1, beta1), from the reference's splits and degrees."""
+    for beta1, _ in reference_engine._splits(model, beta):
+        n1 = -2 * k0 * degree(model, beta1)
+        if n1 and n1.denominator == 1 and model.n_table.get((int(n1), beta1)):
+            return True
+    return False
+
+
+def test_jumps_are_summed_only_where_a_count_can_jump_and_a_cli_table_fills_no_report(
+    monkeypatch,
+):
+    # a grid walk would also sum the jumps of L((1,1), 2)'s sub-tables at walls without a count
+    double, pair, half = conifold_double(1), conifold_pair(3, 2), _half_degree_model()
+    for model, beta, n, lo, hi in ((double, C2_, -4, 0, 2), (pair, PAIR_BETA, 2, F(-1, 2), 0),
+                                   (half, PAIR_BETA, 2, -2, 1), (half, PAIR_BETA, 3, -3, 0)):
+        cache = TableCache()
+        entries = crossing.chamber_values(model, beta, n, lo, hi, cache)
+        assert entries == chamber_table(model, beta, n, lo, hi).entries and not cache.reports
+        assert cache.jumps and all(
+            _has_a_count(model, b, F(num, den)) for b, _, num, den in cache.jumps
+        )
+    # the table command prints the merged values and fills no report; cross still fills its own
+    runs = chamber_table(double, C2_, 4, -2, 0).merged()
+    filled, wall_total = [], crossing._wall_total
+    monkeypatch.setattr(
+        crossing, "_wall_total", lambda *args: filled.append(args[1:4]) or wall_total(*args)
+    )
+    preset = ["--preset", "conifold_double:1", "--beta", "2", "--n", "4"]
+    out = io.StringIO()
+    assert cli.main(["table", *preset, "--range", "-2:0"], out=out) == 0
+    assert out.getvalue() == "".join(f"{lo}\t{hi}\t{value}\n" for lo, hi, value in runs)
+    assert filled == []
+    assert cli.main(["cross", *preset, "--k", "-1"], out=io.StringIO()) == 0
+    assert filled == [(C2_, 4, F(-1))]

@@ -85,7 +85,7 @@ def test_every_memoised_read_above_its_dual_bound_equals_the_dual_seed():
             chamber_table(model, beta, n, lo, hi, cache)
             chamber_table(model, beta, -n, -hi, -lo, cache)
         for (b, n, num, den, from_right), value in list(cache.values.items()):
-            k, k_dual = Fraction(num, den), crossing._mu(model, b, -n, cache) / 2
+            k, k_dual = Fraction(num, den), crossing._mu(b, -n, cache) / 2
             if k > k_dual or (k == k_dual and from_right):
                 assert value == model.p_seed[(-n, b)], (model.name, b, n, k)
                 checked += 1
