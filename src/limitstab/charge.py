@@ -151,18 +151,25 @@ class TwistedInvariants(NamedTuple):
 def twisted_invariants(
     model: NumericalThreefold, ch: ChernCharacter, k
 ) -> TwistedInvariants:
-    """Expand exp(-k*omega) * ch * (1, 0, c2/24, 0) and keep the four scalars."""
-    k = Fraction(k)
+    """Expand exp(-k*omega) * ch * (1, 0, c2/24, 0) and keep the four scalars.
+
+    The two terms that carry c, k*c*omega^3 in w2 and k^2/2*c*omega^3 in v3,
+    are added only when c != 0; every in-scope class has c = 0.
+    """
+    deg = model.degree_vector(ch.gamma)
+    if type(k) is not Fraction:
+        k = Fraction(k)
     k2 = k * k
-    k3 = k2 * k
     w3 = model.omega_cubed
     c2w = model.c2_omega
-    deg = model.degree_vector(ch.gamma)
     r, c = ch.r, ch.c
     c_twisted = c - k * r  # ch1 of the twisted class, in units of omega
     w1 = c_twisted * w3
-    w2 = deg - k * c * w3 + k2 / 2 * r * w3 + r * c2w / 24
-    v3 = ch.n - k * deg + k2 / 2 * c * w3 - k3 / 6 * r * w3 + c_twisted * c2w / 24
+    w2 = deg + k2 / 2 * r * w3 + r * c2w / 24
+    v3 = ch.n - k * deg - k2 * k / 6 * r * w3 + c_twisted * c2w / 24
+    if c:
+        w2 -= k * c * w3
+        v3 += k2 / 2 * c * w3
     return TwistedInvariants(r, w1, w2, v3)
 
 
@@ -178,18 +185,24 @@ def slope(model: NumericalThreefold, ch: ChernCharacter, k):
     """Twisted slope (n - k*deg)/deg of a sheaf class; PointSlope for points.
 
     Only r = c = 0 classes carry a slope.  A class with gamma = 0 and n <= 0
-    is not a nonzero sheaf class and is rejected.
+    is not a nonzero sheaf class and is rejected.  A class error comes
+    before a ``k`` that Fraction() cannot coerce, and that ``k`` raises for
+    points too.
     """
     if ch.r != 0 or ch.c != 0:
         raise TableArgumentError("slope is defined only for r = c = 0 classes")
     deg = model.degree_vector(ch.gamma)
-    if any(g != 0 for g in ch.gamma):
-        if deg <= 0:
-            raise TableArgumentError("sheaf class must have positive degree")
-        return Fraction(ch.n, 1) / deg - Fraction(k)
-    if ch.n > 0:
+    sheaf = any(g != 0 for g in ch.gamma)
+    if sheaf and deg <= 0:
+        raise TableArgumentError("sheaf class must have positive degree")
+    if not sheaf and ch.n <= 0:
+        raise TableArgumentError("class with gamma = 0, n <= 0 is not a nonzero sheaf class")
+    if type(k) is not Fraction:
+        k = Fraction(k)
+    if not sheaf:
         return POINT_SLOPE
-    raise TableArgumentError("class with gamma = 0, n <= 0 is not a nonzero sheaf class")
+    mu0 = ch.n / deg
+    return mu0 - k if k else mu0
 
 
 def untwisted_slope(model: NumericalThreefold, ch: ChernCharacter):

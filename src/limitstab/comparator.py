@@ -110,12 +110,14 @@ def compare_phases_closed(
         raise TableArgumentError("closed comparison needs a sheaf- or point-type F")
     if _require_in_scope(model, ch_e, "E") != "pair":
         raise TableArgumentError("closed comparison needs a pair-type E")
+    if type(k) is not Fraction:
+        k = Fraction(k)
     if sf == "point":
         return PhaseOrder.SUCCEEDS
-    k = Fraction(k)
     mu0 = untwisted_slope(model, ch_f)
-    if mu0 != -2 * k:
-        return _order(mu0, -2 * k)
+    bound = -2 * k
+    if mu0 != bound:
+        return _order(mu0, bound)
     te = twisted_invariants(model, ch_e, k)
     return _order(te.w2 * slope(model, ch_f, k), te.v3)
 

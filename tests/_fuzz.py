@@ -1,5 +1,6 @@
 """Seeded random generators shared by the comparator tests and the acceptance suite,
-and a pointwise central charge as their oracle for the comparator."""
+a pointwise central charge as their oracle for the comparator, and a graded-ring
+expansion of the twisted scalars that shares no code with ``charge``."""
 
 from __future__ import annotations
 
@@ -15,6 +16,76 @@ from limitstab.charge import (
     untwisted_slope,
 )
 from limitstab.geometry import CurveClass, NumericalThreefold
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: multiply out exp(-k*omega) * ch * sqrt_td in the graded
+# ring H^0 + H^2 + H^4 + H^6, where H^2 = x*omega and H^4 is spanned by the
+# curve lattice, omega^2 and the second Chern class.
+# ---------------------------------------------------------------------------
+
+
+def _degree(X: NumericalThreefold, gamma) -> Fraction:
+    return sum((Fraction(g) * d for g, (_, d) in zip(gamma, X.basis)), Fraction(0))
+
+
+class Graded:
+    def __init__(self, a, x, gamma, y, t, z):
+        self.a, self.x, self.gamma, self.y, self.t, self.z = a, x, gamma, y, t, z
+
+    def mul(self, other, X):
+        w3, c2w = X.omega_cubed, X.c2_omega
+        a = self.a * other.a
+        x = self.a * other.x + self.x * other.a
+        gamma = tuple(
+            self.a * g2 + other.a * g1 for g1, g2 in zip(self.gamma, other.gamma)
+        )
+        y = self.a * other.y + other.a * self.y + self.x * other.x
+        t = self.a * other.t + other.a * self.t
+        z = (
+            self.a * other.z
+            + other.a * self.z
+            + self.x * (_degree(X, other.gamma) + other.y * w3 + other.t * c2w)
+            + other.x * (_degree(X, self.gamma) + self.y * w3 + self.t * c2w)
+        )
+        return Graded(a, x, gamma, y, t, z)
+
+
+def oracle_invariants(X: NumericalThreefold, ch: ChernCharacter, k):
+    """(v0, w1, w2, v3) of ch twisted by k, read off the graded product."""
+    k = Fraction(k)
+    zero = (Fraction(0),) * X.rank
+    exp = Graded(Fraction(1), -k, zero, k * k / 2, Fraction(0), -(k**3) * X.omega_cubed / 6)
+    chern = Graded(ch.r, ch.c, ch.gamma, Fraction(0), Fraction(0), ch.n)
+    sqrt_td = Graded(Fraction(1), Fraction(0), zero, Fraction(0), Fraction(1, 24), Fraction(0))
+    v = exp.mul(chern, X).mul(sqrt_td, X)
+    w2 = _degree(X, v.gamma) + v.y * X.omega_cubed + v.t * X.c2_omega
+    return v.a, v.x * X.omega_cubed, w2, v.z
+
+
+def _poly_mul(p, q):
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
+def _oracle_charge(X: NumericalThreefold, ch: ChernCharacter, k):
+    """(re, im) of Z as {power of m: coefficient}, from ``oracle_invariants``."""
+    v0, w1, w2, v3 = oracle_invariants(X, ch, k)
+    return {0: -v3, 2: w1 / 2}, {1: w2, 3: -X.omega_cubed * v0 / 6}
+
+
+def oracle_cross_leading_term(X: NumericalThreefold, ch_f: ChernCharacter, ch_e: ChernCharacter, k):
+    """(degree, leading coefficient) of W = re_F im_E - im_F re_E, multiplied out
+    from the graded oracle; (-1, 0) when W = 0."""
+    re_f, im_f = _oracle_charge(X, ch_f, k)
+    re_e, im_e = _oracle_charge(X, ch_e, k)
+    w = _poly_mul(re_f, im_e)
+    for d, c in _poly_mul(im_f, re_e).items():
+        w[d] = w.get(d, 0) - c
+    return max(((d, c) for d, c in w.items() if c), default=(-1, 0))
 
 
 def central_charge(model: NumericalThreefold, ch: ChernCharacter, k, m):

@@ -1,7 +1,9 @@
 """Every bad argument to the public API raises TableArgumentError with its text.
 
 One row per call: the call, and the whole message it must raise.  A bare
-ValueError fails a row, so does any other text.
+ValueError fails a row, so does any other text.  A twist k that Fraction()
+cannot coerce is the one exception: it raises Fraction's own error type on
+both comparator routes and in ``slope``, for a point-type class too.
 """
 
 import re
@@ -26,6 +28,7 @@ from limitstab.walls import wall_set
 X = conifold_single(1)
 PAIR = ch_of_pair(CurveClass((1,)), 1)
 SHEAF = ch_of_sheaf(CurveClass((1,)), 1)
+POINT = ch_of_points(1, 1)
 ZERO = ChernCharacter(0, 0, (0,), 0)
 OUT_OF_SCOPE = ChernCharacter(2, 0, (0,), 0)  # a two-dimensional shift
 WRONG_RANK = ch_of_sheaf(CurveClass((1, 1)), 2)
@@ -65,7 +68,7 @@ CASES = [
          "closed comparison needs a sheaf- or point-type F"),
         ("closed_E_sheaf", lambda: compare_phases_closed(X, SHEAF, SHEAF, 0),
          "closed comparison needs a pair-type E"),
-        ("threshold_point", lambda: destabilizing_threshold(X, ch_of_points(1, 1)),
+        ("threshold_point", lambda: destabilizing_threshold(X, POINT),
          "threshold is defined for sheaf-type classes only"),
         ("slope-zero", lambda: slope(X, ZERO, 0),
          "class with gamma = 0, n <= 0 is not a nonzero sheaf class"),
@@ -103,6 +106,12 @@ CASES = [
          "(-1) is not effective"),
         ("series-class_before_n_max", lambda: pt_symmetry_check(X, CurveClass((-1,)), 0),
          "(-1) is not effective"),
+        ("compare_phases-class_before_twist", lambda: compare_phases(X, ZERO, PAIR, "abc"),
+         "F class 0,0,(0),0 is zero or out of scope"),
+        ("closed-shape_before_twist", lambda: compare_phases_closed(X, PAIR, PAIR, "abc"),
+         "closed comparison needs a sheaf- or point-type F"),
+        ("slope-class_before_twist", lambda: slope(X, ZERO, float("nan")),
+         "class with gamma = 0, n <= 0 is not a nonzero sheaf class"),
         ("walls-rank_before_zero_class", lambda: wall_set(X, CurveClass((0, 0)), -1, 0),
          "class (0,0) has rank 2, model has rank 1"),
     )
@@ -113,3 +122,30 @@ CASES = [
 def test_a_bad_argument_raises_table_argument_error(call, message):
     with pytest.raises(TableArgumentError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_BAD_TWISTS = (
+    ("not_a_number", "abc", ValueError),
+    ("nan", float("nan"), ValueError),
+    ("inf", float("inf"), OverflowError),
+    ("minus_inf", float("-inf"), OverflowError),
+)
+
+
+@pytest.mark.parametrize(
+    "call, k, error",
+    [
+        pytest.param(call, k, error, id=f"{name}-{kind}-{k_name}")
+        for kind, ch_f in (("point", POINT), ("sheaf", SHEAF))
+        for name, call in (
+            ("compare_phases", lambda k, ch_f=ch_f: compare_phases(X, ch_f, PAIR, k)),
+            ("compare_phases_closed", lambda k, ch_f=ch_f: compare_phases_closed(X, ch_f, PAIR, k)),
+            ("slope", lambda k, ch_f=ch_f: slope(X, ch_f, k)),
+        )
+        for k_name, k, error in _BAD_TWISTS
+    ],
+)
+def test_a_bad_twist_raises_fractions_error(call, k, error):
+    with pytest.raises(Exception) as raised:
+        call(k)
+    assert type(raised.value) is error

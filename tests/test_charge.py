@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from limitstab.charge import (
     POINT_SLOPE,
@@ -18,6 +18,8 @@ from limitstab.charge import (
 from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold
 
+from _fuzz import oracle_invariants
+
 F = Fraction
 
 
@@ -29,52 +31,17 @@ def model(omega_cubed=6, c2_omega=0, degrees=(1,)):
     )
 
 
-# ---------------------------------------------------------------------------
-# independent oracle: multiply out exp(-k*omega) * ch * sqrt_td in the graded
-# ring H^0 + H^2 + H^4 + H^6, where H^2 = x*omega and H^4 is spanned by the
-# curve lattice, omega^2 and the second Chern class.
-# ---------------------------------------------------------------------------
-
-
-class Graded:
-    def __init__(self, a, x, gamma, y, t, z):
-        self.a, self.x, self.gamma, self.y, self.t, self.z = a, x, gamma, y, t, z
-
-    def mul(self, other, X):
-        deg = X.degree_vector
-        w3, c2w = X.omega_cubed, X.c2_omega
-        a = self.a * other.a
-        x = self.a * other.x + self.x * other.a
-        gamma = tuple(
-            self.a * g2 + other.a * g1 for g1, g2 in zip(self.gamma, other.gamma)
-        )
-        y = self.a * other.y + other.a * self.y + self.x * other.x
-        t = self.a * other.t + other.a * self.t
-        z = (
-            self.a * other.z
-            + other.a * self.z
-            + self.x * (deg(other.gamma) + other.y * w3 + other.t * c2w)
-            + other.x * (deg(self.gamma) + self.y * w3 + self.t * c2w)
-        )
-        return Graded(a, x, gamma, y, t, z)
-
-
-def oracle_invariants(X, ch, k):
-    k = F(k)
-    rank = X.rank
-    zero = (F(0),) * rank
-    exp = Graded(F(1), -k, zero, k * k / 2, F(0), -(k**3) * X.omega_cubed / 6)
-    chern = Graded(ch.r, ch.c, ch.gamma, F(0), F(0), ch.n)
-    sqrt_td = Graded(F(1), F(0), zero, F(0), F(1, 24), F(0))
-    v = exp.mul(chern, X).mul(sqrt_td, X)
-    w2 = X.degree_vector(v.gamma) + v.y * X.omega_cubed + v.t * X.c2_omega
-    return v.a, v.x * X.omega_cubed, w2, v.z
-
-
 rational = st.fractions(min_value=F(-10), max_value=F(10), max_denominator=6)
 
 
 @settings(max_examples=300, deadline=None)
+# both sides of the c != 0 branch, each at k = 0 (an int, converted) and k != 0
+@example(r=-1, c=0, g=(F(2), F(1, 3)), n=F(-3), k=0, w3=6, c2w=-2)
+@example(r=-1, c=0, g=(F(2), F(1, 3)), n=F(-3), k=F(-5, 2), w3=6, c2w=-2)
+@example(r=0, c=0, g=(F(1), F(0)), n=F(4), k=0, w3=1, c2w=12)
+@example(r=0, c=0, g=(F(1), F(0)), n=F(4), k=F(7, 3), w3=1, c2w=12)
+@example(r=0, c=1, g=(F(0), F(-1, 2)), n=F(1, 5), k=0, w3=4, c2w=5)
+@example(r=0, c=1, g=(F(0), F(-1, 2)), n=F(1, 5), k=F(-1, 6), w3=4, c2w=5)
 @given(
     r=st.integers(-2, 2),
     c=st.integers(-3, 3),
@@ -89,6 +56,7 @@ def test_twisted_invariants_match_graded_expansion(r, c, g, n, k, w3, c2w):
     ch = ChernCharacter(F(r), F(c), g, n)
     got = twisted_invariants(X, ch, k)
     assert (got.v0, got.w1, got.w2, got.v3) == oracle_invariants(X, ch, k)
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_twisted_invariants_examples():
@@ -171,8 +139,9 @@ def test_dual_charge_is_minus_conjugate(r, c, g, n, k):
 
 def test_slope_examples():
     X = model(6, 0)
-    assert slope(X, ch_of_sheaf(CurveClass((1,)), 1), 0) == 1
-    assert slope(X, ch_of_sheaf(CurveClass((1,)), 1), -1) == 2
+    for k, want in ((0, 1), (F(0), 1), (-1, 2), (F(1, 3), F(2, 3))):
+        got = slope(X, ch_of_sheaf(CurveClass((1,)), 1), k)
+        assert got == want and type(got) is Fraction
     assert slope(X, ch_of_points(1, 1), 2) is POINT_SLOPE
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitstab.charge import (
     ch_of_pair,
@@ -26,6 +27,7 @@ from limitstab.geometry import CurveClass, NumericalThreefold
 from _fuzz import (
     comparator_case,
     cross_value,
+    oracle_cross_leading_term,
     random_in_scope_class,
     random_k,
     random_model,
@@ -189,6 +191,33 @@ def test_minors_agree_with_the_product_route_on_every_in_scope_shape():
     for pair in (("pair",), ("sheaf",), ("point",), ("point", "sheaf")):
         assert frozenset(pair) in shape_pairs
     assert degrees == {3, 1, -1}
+
+
+@st.composite
+def _in_scope_case(draw):
+    """(model, F, E, k): rank 1-2, F and E each a point, sheaf or pair; when F
+    is a sheaf, k sits on its threshold half of the time."""
+    rank = draw(st.integers(1, 2))
+    X = model(draw(st.integers(1, 12)), draw(st.integers(-6, 6)),
+              draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank)))
+    gammas = st.lists(st.integers(0, 3), min_size=rank, max_size=rank).map(CurveClass)
+    shapes = (
+        st.builds(ch_of_points, st.just(rank), st.integers(1, 20)),
+        st.builds(ch_of_sheaf, gammas.filter(lambda g: not g.is_zero()), st.integers(-20, 20)),
+        st.builds(ch_of_pair, gammas, st.integers(-20, 20)),
+    )
+    f, e = draw(st.one_of(shapes)), draw(st.one_of(shapes))
+    if shape(f) == "sheaf" and draw(st.booleans()):
+        return X, f, e, destabilizing_threshold(X, f)
+    return X, f, e, draw(st.fractions(min_value=-24, max_value=24, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_in_scope_case())
+def test_leading_term_matches_a_w_built_from_the_graded_oracle(case):
+    """W multiplied out from ``oracle_invariants``, which shares no code with
+    ``twisted_invariants``, has the leading term that the minors give."""
+    assert cross_leading_term(*case) == oracle_cross_leading_term(*case)
 
 
 def test_the_m_minor_decides_for_a_sheaf_at_its_threshold():
