@@ -153,24 +153,31 @@ def twisted_invariants(
 ) -> TwistedInvariants:
     """Expand exp(-k*omega) * ch * (1, 0, c2/24, 0) and keep the four scalars.
 
-    The two terms that carry c, k*c*omega^3 in w2 and k^2/2*c*omega^3 in v3,
-    are added only when c != 0; every in-scope class has c = 0.
+    Only the terms whose Chern factor is nonzero are computed: the rank
+    terms (k^2/2*r*omega^3 and r*c2/24 in w2, k^3/6*r*omega^3 in v3) when
+    r != 0, the c2 term c_twisted*c2/24 in v3 when c_twisted = c - k*r != 0,
+    and the c terms (k*c*omega^3 in w2, k^2/2*c*omega^3 in v3) when c != 0.
+    Sheaves and points have r = c = 0, pairs have c = 0.
     """
     deg = model.degree_vector(ch.gamma)
     if type(k) is not Fraction:
         k = Fraction(k)
-    k2 = k * k
     w3 = model.omega_cubed
-    c2w = model.c2_omega
     r, c = ch.r, ch.c
-    c_twisted = c - k * r  # ch1 of the twisted class, in units of omega
-    w1 = c_twisted * w3
-    w2 = deg + k2 / 2 * r * w3 + r * c2w / 24
-    v3 = ch.n - k * deg - k2 * k / 6 * r * w3 + c_twisted * c2w / 24
+    w2 = deg
+    v3 = ch.n - k * deg
+    c_twisted = c  # ch1 of the twisted class, in units of omega
+    if r:
+        k2 = k * k
+        c_twisted -= k * r
+        w2 += k2 / 2 * r * w3 + r * model.c2_omega / 24
+        v3 -= k2 * k / 6 * r * w3
+    if c_twisted:
+        v3 += c_twisted * model.c2_omega / 24
     if c:
         w2 -= k * c * w3
-        v3 += k2 / 2 * c * w3
-    return TwistedInvariants(r, w1, w2, v3)
+        v3 += k * k / 2 * c * w3
+    return TwistedInvariants(r, c_twisted * w3, w2, v3)
 
 
 def dual(ch: ChernCharacter) -> ChernCharacter:

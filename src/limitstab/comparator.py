@@ -32,7 +32,6 @@ from typing import Tuple
 from .charge import (
     ChernCharacter,
     shape,
-    slope,
     twisted_invariants,
     untwisted_slope,
 )
@@ -119,7 +118,7 @@ def compare_phases_closed(
     if mu0 != bound:
         return _order(mu0, bound)
     te = twisted_invariants(model, ch_e, k)
-    return _order(te.w2 * slope(model, ch_f, k), te.v3)
+    return _order(te.w2 * (mu0 - k), te.v3)
 
 
 def phase_limit(model: NumericalThreefold, ch: ChernCharacter) -> Fraction:

@@ -561,13 +561,14 @@ def hn_sort(
     This is the toy filtration of a formal direct sum of semistable pieces:
     each part stands for a semistable class of its slope, equal slopes merge
     into one group, and the groups come out in the order the filtration
-    quotients would.
+    quotients would.  A non-sheaf part comes before a bad ``k``.
     """
-    k = Fraction(k)
-    groups: Dict[Fraction, List[ChernCharacter]] = {}
     for ch in parts:
         if shape(ch) != "sheaf":
             raise TableArgumentError(f"hn_sort takes sheaf-type classes only, got {ch}")
+    k = Fraction(k)
+    groups: Dict[Fraction, List[ChernCharacter]] = {}
+    for ch in parts:
         groups.setdefault(slope(model, ch, k), []).append(ch)
     key = lambda c: (model.degree_vector(c.gamma), c.n, c.gamma)
     return [sorted(groups[mu], key=key) for mu in sorted(groups, reverse=True)]

@@ -3,7 +3,8 @@
 One row per call: the call, and the whole message it must raise.  A bare
 ValueError fails a row, so does any other text.  A twist k that Fraction()
 cannot coerce is the one exception: it raises Fraction's own error type on
-both comparator routes and in ``slope``, for a point-type class too.
+both comparator routes and in ``slope``, for a point-type class too, and in
+``hn_sort`` once every part is sheaf-type (an empty list included).
 """
 
 import re
@@ -19,7 +20,7 @@ from limitstab.comparator import (
     destabilizing_threshold,
     phase_limit,
 )
-from limitstab.crossing import TableCache, chamber_table, pt_symmetry_check
+from limitstab.crossing import TableCache, chamber_table, hn_sort, pt_symmetry_check
 from limitstab.errors import TableArgumentError
 from limitstab.geometry import CurveClass
 from limitstab.presets import build_preset, conifold_double, conifold_pair, conifold_single
@@ -48,6 +49,14 @@ _COMPARATOR_CALLS = (
     ("cross_leading_term_E", lambda ch: cross_leading_term(X, PAIR, ch, 0), "E"),
     ("phase_limit", lambda ch: phase_limit(X, ch), "the"),
     ("destabilizing_threshold", lambda ch: destabilizing_threshold(X, ch), "F"),
+)
+
+
+_BAD_TWISTS = (
+    ("not_a_number", "abc", ValueError),
+    ("nan", float("nan"), ValueError),
+    ("inf", float("inf"), OverflowError),
+    ("minus_inf", float("-inf"), OverflowError),
 )
 
 
@@ -115,6 +124,11 @@ CASES = [
         ("walls-rank_before_zero_class", lambda: wall_set(X, CurveClass((0, 0)), -1, 0),
          "class (0,0) has rank 2, model has rank 1"),
     )
+] + [
+    pytest.param(lambda k=k: hn_sort(X, [SHEAF, PAIR], k),
+                 "hn_sort takes sheaf-type classes only, got -1,0,(1),1",
+                 id=f"hn_sort-class_before_twist-{k_name}")
+    for k_name, k, _ in _BAD_TWISTS
 ]
 
 
@@ -122,14 +136,6 @@ CASES = [
 def test_a_bad_argument_raises_table_argument_error(call, message):
     with pytest.raises(TableArgumentError, match=f"^{re.escape(message)}$"):
         call()
-
-
-_BAD_TWISTS = (
-    ("not_a_number", "abc", ValueError),
-    ("nan", float("nan"), ValueError),
-    ("inf", float("inf"), OverflowError),
-    ("minus_inf", float("-inf"), OverflowError),
-)
 
 
 @pytest.mark.parametrize(
@@ -142,6 +148,12 @@ _BAD_TWISTS = (
             ("compare_phases_closed", lambda k, ch_f=ch_f: compare_phases_closed(X, ch_f, PAIR, k)),
             ("slope", lambda k, ch_f=ch_f: slope(X, ch_f, k)),
         )
+        for k_name, k, error in _BAD_TWISTS
+    ]
+    + [
+        pytest.param(lambda k, parts=parts: hn_sort(X, parts, k), k, error,
+                     id=f"hn_sort-{kind}-{k_name}")
+        for kind, parts in (("sheaf", [SHEAF]), ("empty", []))
         for k_name, k, error in _BAD_TWISTS
     ],
 )

@@ -42,6 +42,11 @@ rational = st.fractions(min_value=F(-10), max_value=F(10), max_denominator=6)
 @example(r=0, c=0, g=(F(1), F(0)), n=F(4), k=F(7, 3), w3=1, c2w=12)
 @example(r=0, c=1, g=(F(0), F(-1, 2)), n=F(1, 5), k=0, w3=4, c2w=5)
 @example(r=0, c=1, g=(F(0), F(-1, 2)), n=F(1, 5), k=F(-1, 6), w3=4, c2w=5)
+# r != 0 with c - k*r = 0 (no c2 term in v3), r = 2 at c = 0 (every rank term),
+# and r = 0 at c != 0 with a nonzero k (the c terms but no rank term)
+@example(r=1, c=1, g=(F(1), F(2)), n=F(-2), k=F(1), w3=6, c2w=7)
+@example(r=2, c=0, g=(F(3), F(-1, 3)), n=F(5, 2), k=F(-3, 4), w3=5, c2w=-9)
+@example(r=0, c=-3, g=(F(2), F(1)), n=F(-7), k=F(5, 2), w3=3, c2w=-11)
 @given(
     r=st.integers(-2, 2),
     c=st.integers(-3, 3),
@@ -57,6 +62,19 @@ def test_twisted_invariants_match_graded_expansion(r, c, g, n, k, w3, c2w):
     got = twisted_invariants(X, ch, k)
     assert (got.v0, got.w1, got.w2, got.v3) == oracle_invariants(X, ch, k)
     assert all(type(x) is Fraction for x in got)
+
+
+def test_twisted_invariants_match_the_oracle_on_the_whole_r_c_grid():
+    """Every r in [-2, 2] and c in [-3, 3], at k = 0, two nonzero k and, for
+    r != 0, the k = c/r at which the twisted c vanishes."""
+    X = model(5, -9, degrees=(1, 3))
+    for r in range(-2, 3):
+        for c in range(-3, 4):
+            ch = ChernCharacter(F(r), F(c), (F(3), F(-1, 3)), F(5, 2))
+            for k in (0, F(-3, 4), F(7, 3)) + ((F(c, r),) if r else ()):
+                got = twisted_invariants(X, ch, k)
+                assert tuple(got) == oracle_invariants(X, ch, k)
+                assert all(type(x) is Fraction for x in got)
 
 
 def test_twisted_invariants_examples():

@@ -10,6 +10,7 @@ from limitstab.charge import (
     ch_of_sheaf,
     dual,
     shape,
+    slope,
     twisted_invariants,
     untwisted_slope,
 )
@@ -193,19 +194,24 @@ def test_minors_agree_with_the_product_route_on_every_in_scope_shape():
     assert degrees == {3, 1, -1}
 
 
-@st.composite
-def _in_scope_case(draw):
-    """(model, F, E, k): rank 1-2, F and E each a point, sheaf or pair; when F
-    is a sheaf, k sits on its threshold half of the time."""
+def _model_and_shapes(draw):
+    """A rank 1-2 model and the strategies of its points, sheaves and pairs."""
     rank = draw(st.integers(1, 2))
     X = model(draw(st.integers(1, 12)), draw(st.integers(-6, 6)),
               draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank)))
     gammas = st.lists(st.integers(0, 3), min_size=rank, max_size=rank).map(CurveClass)
-    shapes = (
+    return X, (
         st.builds(ch_of_points, st.just(rank), st.integers(1, 20)),
         st.builds(ch_of_sheaf, gammas.filter(lambda g: not g.is_zero()), st.integers(-20, 20)),
         st.builds(ch_of_pair, gammas, st.integers(-20, 20)),
     )
+
+
+@st.composite
+def _in_scope_case(draw):
+    """(model, F, E, k): rank 1-2, F and E each a point, sheaf or pair; when F
+    is a sheaf, k sits on its threshold half of the time."""
+    X, shapes = _model_and_shapes(draw)
     f, e = draw(st.one_of(shapes)), draw(st.one_of(shapes))
     if shape(f) == "sheaf" and draw(st.booleans()):
         return X, f, e, destabilizing_threshold(X, f)
@@ -218,6 +224,26 @@ def test_leading_term_matches_a_w_built_from_the_graded_oracle(case):
     """W multiplied out from ``oracle_invariants``, which shares no code with
     ``twisted_invariants``, has the leading term that the minors give."""
     assert cross_leading_term(*case) == oracle_cross_leading_term(*case)
+
+
+@st.composite
+def _tie_case(draw):
+    """(model, F, E, k): rank 1-2, F a sheaf, E a pair, k = -mu0(F)/2."""
+    X, (_, sheaves, pairs) = _model_and_shapes(draw)
+    f = draw(sheaves)
+    return X, f, draw(pairs), destabilizing_threshold(X, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_tie_case())
+def test_the_closed_tie_break_orders_w2_times_the_twisted_slope_against_v3(case):
+    """On the threshold both routes order w2(E) * slope(F, k) against v3(E)."""
+    X, f, e, k = case
+    te = twisted_invariants(X, e, k)
+    lhs = te.w2 * slope(X, f, k)
+    order = PhaseOrder((lhs > te.v3) - (lhs < te.v3))
+    assert compare_phases_closed(X, f, e, k) is order
+    assert compare_phases(X, f, e, k) is order
 
 
 def test_the_m_minor_decides_for_a_sheaf_at_its_threshold():
