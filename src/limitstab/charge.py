@@ -42,7 +42,7 @@ class ChernCharacter(_ChernFields):
 
     def __new__(cls, r, c, gamma, n) -> "ChernCharacter":
         return super().__new__(
-            cls, Fraction(r), Fraction(c), tuple(Fraction(g) for g in gamma), Fraction(n)
+            cls, Fraction(r), Fraction(c), tuple(map(Fraction, gamma)), Fraction(n)
         )
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":

@@ -6,17 +6,20 @@ comes from --preset name[:args] or --model path (default taken from the
 LIMITSTAB_MODEL environment variable).  Rationals print as p/q in lowest
 terms, never as decimals.  Output ordering is deterministic: walls
 ascend, crossing data sort by (deg beta1, coordinates of beta1).
+
+``argparse``, ``render`` and ``verify`` load on first use, so importing this
+module costs only the engine: the parser is built by the first ``main`` call,
+``render`` by the ``cross`` and ``render`` commands, ``verify`` by ``verify``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .charge import ChernCharacter, shape, slope, twisted_invariants, untwisted_slope
 from .comparator import compare_phases, compare_phases_closed, cross_leading_term
@@ -33,9 +36,10 @@ from .errors import LimitStabError, TableArgumentError
 from .modelio import format_rational, load_model, parse_class, parse_int
 from .modelio import parse_rational, parse_rational_list
 from .presets import PRESET_NAMES, build_preset
-from .render import render_report, render_svg, render_text
-from .verify import run_verification
 from .walls import is_wall, pt_bounds, wall_set
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class UsageError(Exception):
@@ -55,7 +59,13 @@ def _usage(parse, error=UsageError):
 _parse_rational_arg = _usage(parse_rational)
 _parse_rational_list = _usage(parse_rational_list)
 _parse_beta = _usage(parse_class)
-_parse_int_arg = _usage(parse_int, argparse.ArgumentTypeError)  # argparse's type of --n, --n-max
+
+
+def _parse_int_arg(text: str) -> int:
+    """argparse's type of --n and --n-max: a malformed integer is its ArgumentTypeError."""
+    import argparse
+
+    return _usage(parse_int, argparse.ArgumentTypeError)(text)
 
 
 def _parse_range(text: str) -> Tuple[Fraction, Fraction]:
@@ -134,6 +144,8 @@ def _cmd_compare(model, args, out):
 
 
 def _cmd_cross(model, args, out):
+    from .render import render_report
+
     # L(0, n) has no walls, yet its crossing report stays allowed
     if not args.beta.is_zero() and not is_wall(model, args.beta, args.k):
         raise UsageError(f"k0 = {format_rational(args.k)} is not a wall of {args.beta}")
@@ -168,6 +180,8 @@ def _cmd_series(model, args, out):
 
 
 def _cmd_verify(model, args, out):
+    from .verify import run_verification
+
     results = run_verification()
     failed = 0
     for r in results:
@@ -181,6 +195,8 @@ def _cmd_verify(model, args, out):
 
 
 def _cmd_render(model, args, out):
+    from .render import render_svg, render_text
+
     table = chamber_table(model, args.beta, args.n, *args.range)
     out.write(render_svg(table) if args.format == "svg" else render_text(table))
 
@@ -261,6 +277,8 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="limitstab",
         description="exact wall-and-chamber engine for limit-stability counting",

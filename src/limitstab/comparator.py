@@ -29,12 +29,7 @@ import enum
 from fractions import Fraction
 from typing import Tuple
 
-from .charge import (
-    ChernCharacter,
-    shape,
-    twisted_invariants,
-    untwisted_slope,
-)
+from .charge import ChernCharacter, shape, twisted_invariants
 from .errors import TableArgumentError
 from .geometry import NumericalThreefold
 
@@ -113,7 +108,8 @@ def compare_phases_closed(
         k = Fraction(k)
     if sf == "point":
         return PhaseOrder.SUCCEEDS
-    mu0 = untwisted_slope(model, ch_f)
+    # the untwisted slope; an in-scope sheaf class of the model's rank has deg > 0
+    mu0 = ch_f.n / model.degree_vector(ch_f.gamma)
     bound = -2 * k
     if mu0 != bound:
         return _order(mu0, bound)
@@ -135,4 +131,4 @@ def destabilizing_threshold(model: NumericalThreefold, ch_f: ChernCharacter) -> 
     """
     if _require_in_scope(model, ch_f, "F") != "sheaf":
         raise TableArgumentError("threshold is defined for sheaf-type classes only")
-    return -untwisted_slope(model, ch_f) / 2
+    return -(ch_f.n / model.degree_vector(ch_f.gamma)) / 2

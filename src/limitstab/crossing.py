@@ -50,7 +50,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError, show
-from .geometry import CurveClass, NumericalThreefold, _ConeIndex, _split_rows, check_effective
+from .geometry import CurveClass, NumericalThreefold, _ConeIndex, _as_fraction, _split_rows
+from .geometry import check_effective
 from .walls import Chamber, _chambers_of, _grid_of, _next_above, _walls_in
 from .walls import _max_slope, mu_threshold
 
@@ -151,11 +152,6 @@ def _bound_cache(cache: Optional[TableCache], model: NumericalThreefold) -> Tabl
         cache = TableCache()
     cache.bind(model)
     return cache
-
-
-def _as_fraction(x) -> Fraction:
-    """``x`` as a Fraction, converted only when it is not one already."""
-    return x if type(x) is Fraction else Fraction(x)
 
 
 def _splits(beta: CurveClass, cache: TableCache):

@@ -30,6 +30,11 @@ from typing import Iterable, List, Mapping, NamedTuple, Tuple
 from .errors import ModelDataError, TableArgumentError
 
 
+def _as_fraction(x) -> Fraction:
+    """``x`` as a Fraction, converted only when it is not one already (Fraction() copies slowly)."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class _CurveClassFields(NamedTuple):
     coeffs: Tuple[int, ...]
 
@@ -103,13 +108,12 @@ class NumericalThreefold(_ModelFields):
                 n_table=None, p_seed=None, name="custom") -> "NumericalThreefold":
         if not basis:
             raise ValueError("model needs at least one basis curve class")
-        # a Fraction is kept (Fraction() copies it, slowly) and its sign is its numerator's
-        frac = lambda x: x if type(x) is Fraction else Fraction(x)
-        basis = tuple((nm, frac(d)) for nm, d in basis)
-        omega_cubed, c2_omega, rank = frac(omega_cubed), frac(c2_omega), len(basis)
+        basis = tuple((nm, _as_fraction(d)) for nm, d in basis)
+        omega_cubed, c2_omega, rank = _as_fraction(omega_cubed), _as_fraction(c2_omega), len(basis)
         m_table = {} if m_table is None else m_table
         n_table = {} if n_table is None else n_table
         p_seed = {} if p_seed is None else p_seed
+        # a Fraction's sign is its numerator's
         for nm, d in basis:
             if d.numerator <= 0:
                 raise ValueError(f"basis degree for {nm!r} must be > 0, got {d}")
@@ -125,7 +129,7 @@ class NumericalThreefold(_ModelFields):
                 if len(gamma.coeffs) != rank:
                     raise ValueError(f"{label} class {gamma} has wrong rank")
         for label, table in (("m_table", m_table), ("n_table", n_table), ("p_seed", p_seed)):
-            if not set(map(type, table.values())) <= {int, Fraction}:
+            if table and not set(map(type, table.values())) <= {int, Fraction}:
                 key = next(k for k, v in table.items() if type(v) not in (int, Fraction))
                 at = f"class {key}" if table is m_table else f"(n={key[0]}, beta={key[1]})"
                 raise ValueError(f"{label} value {table[key]!r} for {at} is not an int or Fraction")

@@ -166,12 +166,34 @@ def test_package_import_leaves_the_cli_unloaded():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # argparse, render and verify load where a command uses them
     proc = _child_python(
-        "-c", "import limitstab.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        "-c", "import limitstab.cli, sys; print(sorted({'dataclasses', 'inspect', 'argparse', "
+        "'limitstab.render', 'limitstab.verify'} & set(sys.modules)))",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_each_lazily_importing_command_runs_in_a_fresh_interpreter(capsys, monkeypatch):
+    """verify, render, cross and a malformed --n (argparse's ArgumentTypeError) print and
+    exit in a fresh ``python -m limitstab`` as an in-process ``main`` call does."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at the terminal width
+    model = ("--preset", "conifold_double:1", "--beta", "2")
+    for argv in (
+        ("verify",),
+        ("render", *model, "--n", "3", "--range", "-2:0", "--format", "svg"),
+        ("cross", *model, "--n", "4", "--k", "-1"),
+        ("table", *model, "--n", "abc", "--range", "-2:0"),
+    ):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert out or err
+        proc = _child_python("-m", "limitstab", *argv)
+        assert (proc.stdout, proc.stderr, proc.returncode) == (out, err, code), argv
 
 
 def test_render_text_and_svg():

@@ -953,6 +953,48 @@ def test_tables_do_not_depend_on_the_basis_order(case):
         assert terms(a, relabel) == terms(b, lambda g: g)
 
 
+@settings(max_examples=25, deadline=None)
+@given(case=_permuted_cases(), c=st.sampled_from([F(3), F(2, 5), F(7, 3)]))
+def test_scaling_every_basis_degree_by_c_divides_every_wall_by_c(case, c):
+    """Multiplying every basis degree by c maps k_pt and every wall k0 to k0/c and
+    changes no value, no wall total and no datum but its k0."""
+    degrees, tables, coeffs, _, n = case
+    models = [
+        NumericalThreefold(
+            basis=tuple((f"C{i}", scale * d) for i, d in enumerate(degrees)),
+            omega_cubed=F(6),
+            m_table={CurveClass(g): v for g, v in tables["m_table"].items()},
+            n_table={(n1, CurveClass(g)): v for (n1, g), v in tables["n_table"].items()},
+            p_seed={(n2, CurveClass(g)): v for (n2, g), v in tables["p_seed"].items()},
+        )
+        for scale in (1, c)
+    ]
+    beta = CurveClass(coeffs)
+    k_pt = -mu_threshold(models[0], beta, n) / 2
+    assert -mu_threshold(models[1], beta, n) / 2 == k_pt / c
+    below = wall_set(models[0], beta, k_pt - 1, k_pt).walls
+    k_lo = (k_pt + max((w for w in below if w < k_pt), default=k_pt - 1)) / 2
+    original, scaled = (
+        chamber_table(model, beta, n, k_lo / scale, (k_pt + 2) / scale)
+        for model, scale in zip(models, (1, c))
+    )
+    assert wall_set(models[1], beta, k_lo / c, (k_pt + 2) / c).walls == tuple(
+        w / c for w in wall_set(models[0], beta, k_lo, k_pt + 2).walls
+    )
+    over_c = lambda k: None if k is None else k / c
+    assert scaled.entries == tuple(
+        ((over_c(ch.lo), over_c(ch.hi)), value) for ch, value in original.entries
+    )
+    assert scaled.merged() == tuple((lo / c, hi / c, v) for lo, hi, v in original.merged())
+    assert [(r.k0, r.total) for r in scaled.reports] == [
+        (r.k0 / c, r.total) for r in original.reports
+    ]
+    for a, b in zip(original.reports, scaled.reports):
+        assert [(t.datum._replace(k0=t.datum.k0 / c),) + tuple(t[1:]) for t in a.terms] == [
+            tuple(t) for t in b.terms
+        ]
+
+
 def _linearized(counts, n, k):
     """[q^n Q^k](exp(A) - 1) / ((-1)^(n-1) n) for A = sum (-1)^(n'-1) n' N(n', k') q^n' Q^k'.
 
