@@ -25,11 +25,10 @@ from .charge import ChernCharacter, shape, slope, twisted_invariants, untwisted_
 from .comparator import compare_phases, compare_phases_closed, cross_leading_term
 from .crossing import (
     TableCache,
+    chamber_runs,
     chamber_table,
-    chamber_values,
     cross_wall,
     invariant_value,
-    merge_runs,
     pt_symmetry_check,
 )
 from .errors import LimitStabError, TableArgumentError
@@ -160,7 +159,7 @@ def _cmd_cross(model, args, out):
 
 
 def _cmd_table(model, args, out):
-    for lo, hi, value in merge_runs(chamber_values(model, args.beta, args.n, *args.range)):
+    for lo, hi, value in chamber_runs(model, args.beta, args.n, *args.range):
         out.write(
             f"{format_rational(lo)}\t{format_rational(hi)}\t{format_rational(value)}\n"
         )

@@ -110,8 +110,8 @@ class TableCache:
     * ``m[beta2]`` -- ``min_ch3(model, beta2)`` and its ceiling, by one bisect
       of the cone index ``geometry._ConeIndex``; a failing read is not stored;
     * ``grids[beta]`` -- ``walls._wall_grid(model, beta)``, the (G, steps):
-      the march reads only G, ``chamber_values`` and ``pt_symmetry_check``
-      read their walls from the steps too.
+      the march reads only G, the runs their seed-law wall and the expanded
+      tables every wall from the steps too.
 
     The point keys hold ints only, so a hit in ``values`` or ``reports`` is
     one ``dict.get`` that builds, hashes and compares no ``Fraction``; every
@@ -413,8 +413,7 @@ class ChamberTable(NamedTuple):
 
     def effective_walls(self) -> Tuple[Fraction, ...]:
         """Walls where the value actually jumps."""
-        pairs = zip(self.entries, self.entries[1:])
-        return tuple(ca.hi for (ca, va), (_, vb) in pairs if va is not vb and va != vb)
+        return tuple(lo for lo, _, _ in self.merged()[1:])
 
     def merged(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
         return merge_runs(self.entries)
@@ -422,12 +421,12 @@ class ChamberTable(NamedTuple):
 
 def merge_runs(entries) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
     """Runs of equal value in table ``entries``: (lo, hi, value), consecutive chambers fused (a
-    zero jump keeps the value's object, so ``==`` runs only at a real jump)."""
+    zero jump keeps the value's object, so ``==`` runs only at a real jump).  A run keeps the
+    value of its first chamber, so an int seed stays an int."""
     runs: List[Tuple[Fraction, Fraction, Fraction]] = []
     for chamber, value in entries:
         if runs and (runs[-1][2] is value or runs[-1][2] == value):
-            lo, _, _ = runs[-1]
-            runs[-1] = (lo, chamber.hi, value)
+            runs[-1] = (runs[-1][0], chamber.hi, runs[-1][2])
         else:
             runs.append((chamber.lo, chamber.hi, value))
     return tuple(runs)
@@ -435,13 +434,38 @@ def merge_runs(entries) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
 
 def chamber_values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi,
                    cache: Optional[TableCache] = None) -> Tuple[Tuple[Chamber, Fraction], ...]:
-    """``chamber_table``'s entries (chamber, value) without its reports: the seed as stored, less
-    each ``_jumps`` sum inside (k_lo, k_hi); a zero jump keeps the value object."""
+    """``chamber_table``'s entries (chamber, value) without its reports: ``chamber_runs`` spread
+    over every chamber, the seed as stored first, then one value object per run, a Fraction."""
     return _values(model, beta, n, k_lo, k_hi, _bound_cache(cache, model), None)
 
 
 def _values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cache, reports):
     """``chamber_values`` on a bound cache; a ``reports`` list first gets every wall's report."""
+    k_lo, k_hi, _, seed = window = _window(model, beta, n, k_lo, k_hi, cache)
+    G, _ = grid = _grid(beta, cache)
+    chams = _chambers_of(_walls_in(grid, k_lo, k_hi), k_lo, k_hi)
+    if reports is not None:
+        reports.extend(_wall_total(model, beta, n, chamber.lo, cache) for chamber in chams[1:])
+    runs = _jump_runs(model, beta, n, cache, *window)
+    starts = {lo.numerator * G // lo.denominator: value for lo, _, value in runs[1:]}
+    value, entries = _as_fraction(seed), [(chams[0], seed)]
+    for chamber in chams[1:]:
+        value = starts.get(chamber.lo.numerator * G // chamber.lo.denominator, value)
+        entries.append((chamber, value))
+    return tuple(entries)
+
+
+def chamber_runs(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi,
+                 cache: Optional[TableCache] = None,
+                 ) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+    """``merge_runs(chamber_values(...))`` from the nonzero jumps alone: (lo, hi, value), the
+    seed as stored in the first run, each later run starting at a wall whose jump is nonzero."""
+    cache = _bound_cache(cache, model)
+    return _jump_runs(model, beta, n, cache, *_window(model, beta, n, k_lo, k_hi, cache))
+
+
+def _window(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cache):
+    """A table's (k_lo, k_hi, k_pt, seed), its arguments checked in order."""
     k_lo, k_hi = _as_fraction(k_lo), _as_fraction(k_hi)
     if not k_lo < k_hi:
         raise TableArgumentError(f"empty interval [{k_lo}, {k_hi}]")
@@ -453,30 +477,27 @@ def _values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cac
         raise TableArgumentError(
             f"interval must start below the seed bound k_pt = {show(k_pt)}, got k_lo = {show(k_lo)}"
         )
-    value = _seed(model, beta, n)
+    return k_lo, k_hi, k_pt, _seed(model, beta, n)
+
+
+def _jump_runs(model: NumericalThreefold, beta: CurveClass, n: int, cache, k_lo, k_hi, k_pt, seed):
+    """``chamber_runs`` on a checked ``_window``: the tables' one jump sum, over all its walls."""
     G, _ = grid = _grid(beta, cache)
-    chams = _chambers_of(_walls_in(grid, k_lo, k_hi), k_lo, k_hi)
-    if reports is not None:
-        reports.extend(_wall_total(model, beta, n, chamber.lo, cache) for chamber in chams[1:])
     # the walls j/G strictly inside: floor(k_lo * G) < j < ceil(k_hi * G)
-    jumps = dict(_jumps(model, beta, n, k_lo.numerator * G // k_lo.denominator + 1,
-                        -(-k_hi.numerator * G // k_hi.denominator) - 1, cache))
-    entries, first = [(chams[0], value)], 0
-    for chamber in chams[1:]:
-        total = jumps.get(chamber.lo.numerator * G // chamber.lo.denominator, _ZERO)
-        # a zero jump leaves a Fraction value as it is; an int seed still turns into a Fraction
-        if total or type(value) is not Fraction:
-            value -= total
-            if total and not first:
-                first = len(entries)
-        entries.append((chamber, value))
+    bounds, values = [k_lo], [seed]
+    for j, total in _jumps(model, beta, n, k_lo.numerator * G // k_lo.denominator + 1,
+                           -(-k_hi.numerator * G // k_hi.denominator) - 1, cache):
+        if total:
+            bounds.append(Fraction(j, G))
+            values.append(values[-1] - total)
+    bounds.append(k_hi)
     # checked after every fill, so a fill's own error wins; the first jump ends the seed's run
-    if first and (chamber := entries[first][0]).hi <= k_pt:
+    if values[1:] and bounds[1] < k_pt and (hi := min(_next_above(grid, bounds[1]), k_hi)) <= k_pt:
         raise ModelDataError(
-            f"model data violate the seed law: chamber {chamber} below "
-            f"k_pt = {show(k_pt)} carries {show(entries[first][1])} != seed {show(entries[0][1])}"
+            f"model data violate the seed law: chamber {Chamber(bounds[1], hi)} below "
+            f"k_pt = {show(k_pt)} carries {show(values[1])} != seed {show(seed)}"
         )
-    return tuple(entries)
+    return tuple(zip(bounds, bounds[1:], values))
 
 
 def chamber_table(

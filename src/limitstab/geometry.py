@@ -243,10 +243,10 @@ class _ConeIndex:
         return self.mins[end - 1] if end else Fraction(0)
 
     def _grow(self, top: int) -> None:
-        box = itertools.product(*(range(top // s + 1) for s in self.scaled))
-        scaled = lambda g: sum(c * s for c, s in zip(g, self.scaled))
-        new = sorted((e, _int_class(g)) for g in box if self.top < (e := scaled(g)) <= top)
-        for e, gamma in new:
+        walk = [(0, ())]
+        for s in self.scaled:
+            walk = [(e + c * s, g + (c,)) for e, g in walk for c in range((top - e) // s + 1)]
+        for e, gamma in sorted((e, _int_class(g)) for e, g in walk if e > self.top):
             self.degrees.append(e)
             if self.missing is None and gamma not in self.model.m_table:
                 self.missing = gamma
@@ -257,9 +257,9 @@ class _ConeIndex:
 
 def _split_rows(scaled: Tuple[int, ...], coeffs: Tuple[int, ...]):
     """(D * deg beta1, beta1, beta2) for every split beta1 + beta2 of the class with ``coeffs``,
-    beta1 != 0, in split order; ``scaled`` is D * degrees, so each degree is one int sum."""
-    box = itertools.product(*(range(c + 1) for c in coeffs))
-    # an int degree orders as the Fraction degree, and a class as its coordinates
-    rows = sorted((sum(c * s for c, s in zip(g, scaled)), g) for g in box if any(g))
-    minus = lambda g: _int_class(tuple(map(int.__sub__, coeffs, g)))
-    return tuple((e, _int_class(g), minus(g)) for e, g in rows)
+    beta1 != 0, in split order; ``scaled`` is D * degrees, an int degree added per coordinate."""
+    walk = [(0, (), ())]
+    for c, s in zip(coeffs, scaled):
+        walk = [(e + i * s, g + (i,), h + (c - i,)) for e, g, h in walk for i in range(c + 1)]
+    # an int degree orders as the Fraction degree, a class as its coordinates; beta1 = 0 is first
+    return tuple((e, _int_class(g), _int_class(h)) for e, g, h in sorted(walk)[1:])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, NamedTuple
 
-from .crossing import TableCache, chamber_table, pt_symmetry_check
+from .crossing import TableCache, chamber_table, chamber_values, pt_symmetry_check
 from .geometry import CurveClass
 from .presets import conifold_double, conifold_pair, conifold_single
 from .walls import Chamber
@@ -97,7 +97,7 @@ def run_verification() -> List[CheckResult]:
                 results.append(CheckResult(f"{model.name}: {label}", holds(model, table)))
             # the (beta, -n) table on [-hi, -lo]: the same chambers reflected, the same values
             reflected = tuple((Chamber(-c.hi, -c.lo), v) for c, v in reversed(table.entries))
-            mirrored &= chamber_table(model, beta, -n, -hi, -lo, cache).entries == reflected
+            mirrored &= chamber_values(model, beta, -n, -hi, -lo, cache) == reflected
         if n_max:
             report = pt_symmetry_check(model, beta, n_max, cache)
             ok = all(r.p_minus_derived == 0 and r.relation_defect == 0 for r in report.rows)

@@ -12,9 +12,11 @@ This is the engine's arithmetic written the slow, obvious way, on purpose:
   its count and sub-table value.
 
 Nothing is shared between calls but the model, so the answer of a query
-cannot depend on what was asked before.  The public functions take the
-engine's arguments without its cache, raise its errors with its texts in
-its order, and return its named tuples with the same value types.
+cannot depend on what was asked before.  The class check and the degree are
+restated here too, so the oracle runs no cone or degree code of the engine.
+The public functions take the engine's arguments without its cache, raise
+its errors with its texts in its order, and return its named tuples with the
+same value types.
 """
 
 from __future__ import annotations
@@ -25,10 +27,23 @@ from fractions import Fraction
 
 from limitstab.crossing import ChamberTable, DatumContribution, WallDatum, WallReport
 from limitstab.errors import ModelDataError, TableArgumentError, show
-from limitstab.geometry import CurveClass, check_effective, degree
+from limitstab.geometry import CurveClass
 from limitstab.walls import Chamber, WallSet
 
 F = Fraction
+
+
+def check_effective(model, beta):
+    """The engine's class check and texts: the rank first, then the sign of each coordinate."""
+    if beta.rank != model.rank:
+        raise TableArgumentError(f"class {beta} has rank {beta.rank}, model has rank {model.rank}")
+    if any(c < 0 for c in beta.coeffs):
+        raise TableArgumentError(f"{beta} is not effective")
+
+
+def degree(model, gamma):
+    """deg gamma: each coordinate times its basis degree, summed as Fractions."""
+    return sum((c * d for c, d in zip(gamma.coeffs, model.degrees)), F(0))
 
 
 def effective_below(model, beta):

@@ -14,12 +14,15 @@ from limitstab.comparator import destabilizing_threshold
 from limitstab.crossing import (
     TableCache,
     WallDatum,
+    chamber_runs,
     chamber_table,
+    chamber_values,
     cross_wall,
     enumerate_wall_data,
     hn_sort,
     invariant_value,
     l_at_wall,
+    merge_runs,
     pt_symmetry_check,
 )
 from limitstab.errors import ModelDataError, TableArgumentError
@@ -33,9 +36,11 @@ from limitstab.geometry import (
     min_ch3,
 )
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
+from limitstab.verify import reference_tables
 from limitstab.walls import _grid_of, _wall_grid, mu_threshold, next_wall_above, pt_bounds, wall_set
 
 import reference_engine
+from test_synthetic_model import _replaced, heavy_curve_model
 
 F = Fraction
 cone_m = _ConeIndex.m
@@ -1397,3 +1402,62 @@ def test_jumps_are_summed_only_where_a_count_can_jump_and_a_cli_table_fills_no_r
     assert filled == []
     assert cli.main(["cross", *preset, "--k", "-1"], out=io.StringIO()) == 0
     assert filled == [(C2_, 4, F(-1))]
+
+
+def _run_windows(model, beta, n):
+    """Windows of L(beta, n): k_pt - 1 to k_pt + 2; one from the last wall w below k_pt; and the
+    chamber above w with no interior wall, from w or its middle to the next wall or its middle."""
+    outcome = _outcome(lambda: reference_engine.pt_bounds(model, beta, n)[0])
+    if outcome[0] == "error":
+        return [(F(-1), F(1))]  # every path must raise the reference's error
+    k_pt = outcome[1]
+    w = max(reference_engine.walls_in(model, beta, k_pt - 2, k_pt - F(1, 10**6)), default=None)
+    if w is None:
+        return [(k_pt - 1, k_pt + 2)]
+    above = min(reference_engine.walls_in(model, beta, w + F(1, 10**6), w + 3))
+    middle = (w + above) / 2
+    return [(k_pt - 1, k_pt + 2), (w, k_pt + 1), (w, above), (middle, above), (w, middle)]
+
+
+def _assert_runs_agree(model, beta, n, lo, hi, cache):
+    """``chamber_runs``, on ``cache`` and on a fresh one, equals ``merge_runs`` of the entries of
+    ``chamber_values``, ``chamber_table`` and the reference march, in value, type and error."""
+    runs = _outcome(lambda: repr(chamber_runs(model, beta, n, lo, hi, cache)))
+    assert runs == _outcome(lambda: repr(chamber_runs(model, beta, n, lo, hi)))
+    assert runs == _outcome(lambda: repr(merge_runs(chamber_values(model, beta, n, lo, hi))))
+    assert runs == _outcome(lambda: repr(chamber_table(model, beta, n, lo, hi).merged()))
+    reference = lambda: repr(merge_runs(reference_engine.chamber_values(model, beta, n, lo, hi)))
+    assert runs == _outcome(reference)
+
+
+def test_runs_equal_the_merged_chambers_on_the_reference_windows():
+    for model, beta, _, rows in reference_tables():
+        cache = TableCache()
+        for n, lo, hi, *_ in rows:
+            for n, lo, hi in ((n, lo, hi), (-n, -hi, -lo)):
+                for lo, hi in [(lo, hi)] + _run_windows(model, beta, n):
+                    _assert_runs_agree(model, beta, n, lo, hi, cache)
+
+
+def test_runs_equal_the_merged_chambers_on_the_heavy_curve_models():
+    model, c, cc = heavy_curve_model(), C1_, C2_
+    ints = _replaced(model, p_seed={k: int(v) for k, v in model.p_seed.items() if v.denominator == 1})
+    violating = heavy_curve_model(p3_minus=F(-8), p3_plus=F(1))
+    both = _replaced(violating, dropped={(-2, c)})
+    for variant in (model, ints, violating, both):
+        cache = TableCache()
+        for beta, ns in ((cc, (5, -5)), (c, (2, -2, 3, -3))):
+            for n in ns:
+                for lo, hi in [(F(-1), F(1)), (F(0), F(1))] + _run_windows(variant, beta, n):
+                    _assert_runs_agree(variant, beta, n, lo, hi, cache)
+    # an int seed stays an int in the first run, whatever walls the run spans
+    assert [type(v) for _, _, v in chamber_runs(ints, cc, 5, F(-1), F(0))] == [int, F, F]
+    assert repr(chamber_runs(ints, c, 2, F(-2), F(-1, 2))) == repr(((F(-2), F(-1, 2), -4),))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_synthetic_tables(), n=st.integers(-2, 2), data=st.data())
+def test_runs_equal_the_merged_chambers_on_drawn_models(case, n, data):
+    model, beta = case
+    lo, hi = data.draw(st.sampled_from(_run_windows(model, beta, n)))
+    _assert_runs_agree(model, beta, n, lo, hi, TableCache())

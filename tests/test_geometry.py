@@ -11,6 +11,7 @@ from limitstab.errors import ModelDataError
 from limitstab.geometry import (
     CurveClass,
     NumericalThreefold,
+    _ConeIndex,
     _scaled_degrees,
     _split_rows,
     degree,
@@ -216,6 +217,33 @@ def test_split_rows_match_the_sorted_box(case):
         assert b1 + b2 == CurveClass(coeffs)
     expected = reference_engine._splits(model, CurveClass(coeffs))
     assert [(b1, b2) for b1, _, b2 in splits] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cone_cases(), data=st.data())
+def test_cone_index_growth_matches_the_sorted_box(case, data):
+    # the index's degrees and running m minima, grown at once and in two steps, against the box
+    degrees, coeffs = case
+    reference = [(d, CurveClass(g)) for d, g in _reference_cone(degrees, coeffs) if any(g)]
+    m_table = {g: F(sum(g.coeffs) % 5 - 2) for _, g in reference}
+    missing = data.draw(st.sampled_from([None] + [g for _, g in reference]))
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(1),
+        m_table={g: v for g, v in m_table.items() if g != missing},
+    )
+    scale = _scaled_degrees(model)[0]
+    top = int(sum(c * d for c, d in zip(coeffs, degrees)) * scale)
+    mins = []
+    for _, g in reference[:[g for _, g in reference].index(missing) if missing else None]:
+        mins.append(min(mins[-1:] + [m_table[g]]))
+    at_once, in_two = _ConeIndex(model), _ConeIndex(model)
+    at_once._grow(top)
+    in_two._grow(data.draw(st.integers(0, top)))
+    in_two._grow(top)
+    for index in (at_once, in_two):
+        assert index.degrees == [d * scale for d, _ in reference]
+        assert (index.mins, index.missing, index.top) == (mins, missing, top)
 
 
 def test_effective_below_computes_each_degree_once(monkeypatch):

@@ -23,16 +23,20 @@ overlap, so every slope-integral splitting is admissible and only the
 count table decides.
 """
 
+import io
 import re
 from fractions import Fraction
 
 import pytest
 
+from limitstab import cli
 from limitstab.crossing import (
-    TableCache, chamber_table, enumerate_wall_data, invariant_value, l_at_wall
+    TableCache, chamber_runs, chamber_table, chamber_values, enumerate_wall_data, invariant_value,
+    l_at_wall,
 )
 from limitstab.errors import ModelDataError
 from limitstab.geometry import CurveClass, NumericalThreefold, min_ch3
+from limitstab.modelio import serialize_model
 from limitstab.walls import mu_threshold
 
 F = Fraction
@@ -135,6 +139,30 @@ def test_a_missing_sub_table_seed_at_a_later_wall_is_reported_before_the_seed_la
     model = _replaced(heavy_curve_model(p3_minus=F(-8), p3_plus=F(1)), dropped={(-2, CurveClass((1,)))})
     with pytest.raises(ModelDataError, match=re.escape("p_seed has no entry for (n=-2, beta=(1))")):
         chamber_table(model, CurveClass((2,)), -5, F(0), F(1))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({}, "model data violate the seed law: chamber (1/2, 5/8) below k_pt = 5/8 carries 145/2 != seed 81/2"),
+    (dict(n_table={(-1, CurveClass((1,))): F(1)}, p_seed={(-4, CurveClass((1,))): F(1)}),
+     "model data violate the seed law: chamber (1/4, 3/8) below k_pt = 5/8 carries 83/2 != seed 81/2"),
+    # a seed-law violation and a missing deeper seed: the fill's error wins
+    (dict(dropped={(-2, CurveClass((1,)))}), "p_seed has no entry for (n=-2, beta=(1))"),
+    (dict(n_table={(-1, CurveClass((1,))): F(1)}, p_seed={(-4, CurveClass((1,))): F(1)},
+          dropped={(-2, CurveClass((1,)))}), "p_seed has no entry for (n=-2, beta=(1))"),
+])
+def test_every_table_path_raises_the_seed_law_and_fill_errors_alike(changes, message, tmp_path, capsys):
+    model = _replaced(heavy_curve_model(p3_minus=F(-8), p3_plus=F(1)), **changes)
+    cc = CurveClass((2,))
+    for table in (chamber_table, chamber_values, chamber_runs):
+        with pytest.raises(ModelDataError, match=f"^{re.escape(message)}$"):
+            table(model, cc, -5, F(0), F(1))
+    # the table command prints its runs only once all of them stand
+    path = tmp_path / "inconsistent.model"
+    path.write_text(serialize_model(model))
+    out = io.StringIO()
+    argv = ["table", "--model", str(path), "--beta", "2", "--n", "-5", "--range", "0:1"]
+    assert cli.main(argv, out=out) == 1
+    assert (out.getvalue(), capsys.readouterr()) == ("", ("", f"error: {message}\n"))
 
 
 def test_an_int_seeded_table_keeps_its_value_types():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from limitstab import crossing, verify
 from limitstab.cli import main
-from limitstab.crossing import chamber_table
+from limitstab.crossing import chamber_table, chamber_values
 from limitstab.geometry import CurveClass
 from limitstab.presets import conifold_double
 
@@ -41,16 +41,16 @@ def test_verification_builds_one_cache_per_preset(monkeypatch):
 def test_a_broken_mirror_fails_only_the_mirror_check(monkeypatch):
     changed = []
 
-    def table(model, beta, n, lo, hi, cache=None):
-        out = chamber_table(model, beta, n, lo, hi, cache)
+    def values(model, beta, n, lo, hi, cache=None):
+        out = chamber_values(model, beta, n, lo, hi, cache)
         if (beta, n) == (CurveClass((2,)), -4):
-            # one chamber value of the (2), n = -4 table is off by one
-            (chamber, value), *rest = out.entries
-            out = out._replace(entries=((chamber, value + 1), *rest))
+            # one chamber value of the (2), n = -4 mirror table is off by one
+            (chamber, value), *rest = out
+            out = ((chamber, value + 1), *rest)
             changed.append(model.name)
         return out
 
-    monkeypatch.setattr(verify, "chamber_table", table)
+    monkeypatch.setattr(verify, "chamber_values", values)
     out = io.StringIO()
     assert main(["verify"], out=out) == 1
     lines = out.getvalue().splitlines()
