@@ -1411,10 +1411,10 @@ def _run_windows(model, beta, n):
     if outcome[0] == "error":
         return [(F(-1), F(1))]  # every path must raise the reference's error
     k_pt = outcome[1]
-    w = max(reference_engine.walls_in(model, beta, k_pt - 2, k_pt - F(1, 10**6)), default=None)
+    w = max((v for v in reference_engine.walls_in(model, beta, k_pt - 2, k_pt) if v < k_pt), default=None)
     if w is None:
         return [(k_pt - 1, k_pt + 2)]
-    above = min(reference_engine.walls_in(model, beta, w + F(1, 10**6), w + 3))
+    above = min(v for v in reference_engine.walls_in(model, beta, w, w + 3) if v > w)
     middle = (w + above) / 2
     return [(k_pt - 1, k_pt + 2), (w, k_pt + 1), (w, above), (middle, above), (w, middle)]
 
