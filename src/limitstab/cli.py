@@ -7,9 +7,12 @@ LIMITSTAB_MODEL environment variable).  Rationals print as p/q in lowest
 terms, never as decimals.  Output ordering is deterministic: walls
 ascend, crossing data sort by (deg beta1, coordinates of beta1).
 
+``main`` parses with the named command's own parser, built on its first use.
+The full parser of ``build_parser`` parses only an argv that names no command
+or leaves arguments over, so every usage line, help text and error is its own.
 ``argparse``, ``render`` and ``verify`` load on first use, so importing this
-module costs only the engine: the parser is built by the first ``main`` call,
-``render`` by the ``cross`` and ``render`` commands, ``verify`` by ``verify``.
+module costs only the engine: ``argparse`` loads with the first parser,
+``render`` with the ``cross`` and ``render`` commands, ``verify`` with ``verify``.
 """
 
 from __future__ import annotations
@@ -283,38 +286,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact wall-and-chamber engine for limit-stability counting",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, options, help_text, description) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, description=description)
-        for opt in options:
-            p.add_argument(opt, **_OPTIONS[opt][0])
+    for name, (_, _, help_text, description) in _COMMANDS.items():
+        _with_options(sub.add_parser(name, help=help_text, description=description), name)
+    return parser
+
+
+def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the options of the command ``name`` added, in usage order."""
+    for opt in _COMMANDS[name][1]:
+        parser.add_argument(opt, **_OPTIONS[opt][0])
     return parser
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
+    """``main``'s fallback, the full parser, built once per process: parsing leaves it unchanged."""
     return build_parser()
+
+
+@functools.lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """``build_parser()``'s subparser of ``name`` on its own, built once per process."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=f"limitstab {name}", description=_COMMANDS[name][3])
+    return _with_options(parser, name)
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, by the command's own parser unless that leaves any over."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
 
 
 def _merge_option_values(argv: List[str]) -> List[str]:
     """Rewrite ['--k', '-3/2'] as ['--k=-3/2'] so argparse accepts dash-leading values."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_OPTIONS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_OPTIONS else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    args = _parser().parse_args(_merge_option_values(
-        list(sys.argv[1:] if argv is None else argv)
-    ))
+    args = _parse_args(_merge_option_values(list(sys.argv[1:] if argv is None else argv)))
     handler, options, *_ = _COMMANDS[args.command]
     try:
         model = _resolve_model(args) if "--model" in options else None

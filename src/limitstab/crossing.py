@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import groupby
+from itertools import groupby, repeat
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -446,8 +446,8 @@ def _values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cac
     chams = _chambers_of(_walls_in(grid, k_lo, k_hi), k_lo, k_hi)
     if reports is not None:
         reports.extend(_wall_total(model, beta, n, chamber.lo, cache) for chamber in chams[1:])
-    runs = _jump_runs(model, beta, n, cache, *window)
-    starts = {lo.numerator * G // lo.denominator: value for lo, _, value in runs[1:]}
+    js, values = _jump_runs(model, beta, n, cache, *window)
+    starts = dict(zip(js, values[1:]))
     value, entries = _as_fraction(seed), [(chams[0], seed)]
     for chamber in chams[1:]:
         value = starts.get(chamber.lo.numerator * G // chamber.lo.denominator, value)
@@ -461,7 +461,10 @@ def chamber_runs(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi
     """``merge_runs(chamber_values(...))`` from the nonzero jumps alone: (lo, hi, value), the
     seed as stored in the first run, each later run starting at a wall whose jump is nonzero."""
     cache = _bound_cache(cache, model)
-    return _jump_runs(model, beta, n, cache, *_window(model, beta, n, k_lo, k_hi, cache))
+    window = _window(model, beta, n, k_lo, k_hi, cache)
+    js, values = _jump_runs(model, beta, n, cache, *window)
+    bounds = [window[0], *map(Fraction, js, repeat(cache.grids[beta][0])), window[1]]
+    return tuple(zip(bounds, bounds[1:], values))
 
 
 def _window(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cache):
@@ -481,23 +484,24 @@ def _window(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cac
 
 
 def _jump_runs(model: NumericalThreefold, beta: CurveClass, n: int, cache, k_lo, k_hi, k_pt, seed):
-    """``chamber_runs`` on a checked ``_window``: the tables' one jump sum, over all its walls."""
+    """The tables' one jump sum on a checked ``_window``, over all its walls: the int j of each
+    wall j/G with a nonzero jump, and the values of the runs, the seed as stored first."""
     G, _ = grid = _grid(beta, cache)
     # the walls j/G strictly inside: floor(k_lo * G) < j < ceil(k_hi * G)
-    bounds, values = [k_lo], [seed]
+    js, values = [], [seed]
     for j, total in _jumps(model, beta, n, k_lo.numerator * G // k_lo.denominator + 1,
                            -(-k_hi.numerator * G // k_hi.denominator) - 1, cache):
         if total:
-            bounds.append(Fraction(j, G))
+            js.append(j)
             values.append(values[-1] - total)
-    bounds.append(k_hi)
     # checked after every fill, so a fill's own error wins; the first jump ends the seed's run
-    if values[1:] and bounds[1] < k_pt and (hi := min(_next_above(grid, bounds[1]), k_hi)) <= k_pt:
-        raise ModelDataError(
-            f"model data violate the seed law: chamber {Chamber(bounds[1], hi)} below "
-            f"k_pt = {show(k_pt)} carries {show(values[1])} != seed {show(seed)}"
-        )
-    return tuple(zip(bounds, bounds[1:], values))
+    if js and js[0] * k_pt.denominator < k_pt.numerator * G:  # its wall j/G lies below k_pt
+        if (hi := min(_next_above(grid, lo := Fraction(js[0], G)), k_hi)) <= k_pt:
+            raise ModelDataError(
+                f"model data violate the seed law: chamber {Chamber(lo, hi)} below "
+                f"k_pt = {show(k_pt)} carries {show(values[1])} != seed {show(seed)}"
+            )
+    return js, values
 
 
 def chamber_table(

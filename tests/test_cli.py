@@ -12,7 +12,14 @@ import pytest
 
 from limitstab import verify
 from limitstab.charge import ChernCharacter
-from limitstab.cli import _merge_option_values, _parse_chern, _parser, build_parser, main
+from limitstab.cli import (
+    _command_parser,
+    _merge_option_values,
+    _parse_chern,
+    _parser,
+    build_parser,
+    main,
+)
 from limitstab.modelio import save_model
 from limitstab.presets import PRESET_NAMES, conifold_double
 
@@ -176,15 +183,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_each_lazily_importing_command_runs_in_a_fresh_interpreter(capsys, monkeypatch):
-    """verify, render, cross and a malformed --n (argparse's ArgumentTypeError) print and
-    exit in a fresh ``python -m limitstab`` as an in-process ``main`` call does."""
+    """verify, render, cross, table, a malformed --n (argparse's ArgumentTypeError), a leftover
+    argument and no command (the full parser's errors) print and exit in a fresh
+    ``python -m limitstab``, which builds its parsers anew, as an in-process ``main`` call does."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line at the terminal width
     model = ("--preset", "conifold_double:1", "--beta", "2")
     for argv in (
         ("verify",),
         ("render", *model, "--n", "3", "--range", "-2:0", "--format", "svg"),
         ("cross", *model, "--n", "4", "--k", "-1"),
+        ("table", *model, "--n", "4", "--range", "-2:0"),
         ("table", *model, "--n", "abc", "--range", "-2:0"),
+        ("table", *model, "--n", "4", "--range", "-2:0", "extra"),
+        (),
     ):
         try:
             code = main(list(argv))
@@ -314,6 +325,7 @@ def test_reusing_the_parser_leaks_no_state(tmp_path, monkeypatch, capsys):
     alone = []
     for step in steps:
         _parser.cache_clear()
+        _command_parser.cache_clear()
         alone.append(run(*step))
     assert in_sequence == alone
     codes = [code for code, _, _ in in_sequence]
