@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import TableArgumentError
-from .geometry import CurveClass, NumericalThreefold
+from .geometry import CurveClass, NumericalThreefold, _as_fraction
 
 
 class _ChernFields(NamedTuple):
@@ -41,8 +41,9 @@ class ChernCharacter(_ChernFields):
     __slots__ = ()
 
     def __new__(cls, r, c, gamma, n) -> "ChernCharacter":
+        """Each field a Fraction: a Fraction input is kept as given, any other converted."""
         return super().__new__(
-            cls, Fraction(r), Fraction(c), tuple(map(Fraction, gamma)), Fraction(n)
+            cls, _as_fraction(r), _as_fraction(c), tuple(map(_as_fraction, gamma)), _as_fraction(n)
         )
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":

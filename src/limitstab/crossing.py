@@ -52,7 +52,7 @@ from .charge import ChernCharacter, shape, slope
 from .errors import ModelDataError, TableArgumentError, show
 from .geometry import CurveClass, NumericalThreefold, _ConeIndex, _as_fraction, _split_rows
 from .geometry import check_effective
-from .walls import Chamber, _chambers_of, _grid_of, _next_above, _walls_in
+from .walls import Chamber, _grid_of, _next_above, _wall_ints
 from .walls import _max_slope, mu_threshold
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -443,15 +443,16 @@ def _values(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cac
     """``chamber_values`` on a bound cache; a ``reports`` list first gets every wall's report."""
     k_lo, k_hi, _, seed = window = _window(model, beta, n, k_lo, k_hi, cache)
     G, _ = grid = _grid(beta, cache)
-    chams = _chambers_of(_walls_in(grid, k_lo, k_hi), k_lo, k_hi)
+    inner = _wall_ints(grid, *_inside(G, k_lo, k_hi))  # the j of each chamber's lo j/G but the first
+    bounds = [k_lo, *(Fraction(j, G) for j in inner), k_hi]
     if reports is not None:
-        reports.extend(_wall_total(model, beta, n, chamber.lo, cache) for chamber in chams[1:])
+        reports.extend(_wall_total(model, beta, n, lo, cache) for lo in bounds[1:-1])
     js, values = _jump_runs(model, beta, n, cache, *window)
     starts = dict(zip(js, values[1:]))
-    value, entries = _as_fraction(seed), [(chams[0], seed)]
-    for chamber in chams[1:]:
-        value = starts.get(chamber.lo.numerator * G // chamber.lo.denominator, value)
-        entries.append((chamber, value))
+    value, entries = _as_fraction(seed), [(Chamber(k_lo, bounds[1]), seed)]
+    for j, lo, hi in zip(inner, bounds[1:], bounds[2:]):
+        value = starts.get(j, value)
+        entries.append((Chamber(lo, hi), value))
     return tuple(entries)
 
 
@@ -465,6 +466,13 @@ def chamber_runs(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi
     js, values = _jump_runs(model, beta, n, cache, *window)
     bounds = [window[0], *map(Fraction, js, repeat(cache.grids[beta][0])), window[1]]
     return tuple(zip(bounds, bounds[1:], values))
+
+
+def _inside(G: int, k_lo: Fraction, k_hi: Fraction) -> Tuple[int, int]:
+    """The int bounds of the walls j/G strictly inside (k_lo, k_hi):
+    floor(k_lo * G) < j < ceil(k_hi * G)."""
+    j_lo = k_lo.numerator * G // k_lo.denominator + 1
+    return j_lo, -(-k_hi.numerator * G // k_hi.denominator) - 1
 
 
 def _window(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cache):
@@ -487,10 +495,8 @@ def _jump_runs(model: NumericalThreefold, beta: CurveClass, n: int, cache, k_lo,
     """The tables' one jump sum on a checked ``_window``, over all its walls: the int j of each
     wall j/G with a nonzero jump, and the values of the runs, the seed as stored first."""
     G, _ = grid = _grid(beta, cache)
-    # the walls j/G strictly inside: floor(k_lo * G) < j < ceil(k_hi * G)
     js, values = [], [seed]
-    for j, total in _jumps(model, beta, n, k_lo.numerator * G // k_lo.denominator + 1,
-                           -(-k_hi.numerator * G // k_hi.denominator) - 1, cache):
+    for j, total in _jumps(model, beta, n, *_inside(G, k_lo, k_hi), cache):
         if total:
             js.append(j)
             values.append(values[-1] - total)
@@ -563,8 +569,10 @@ def pt_symmetry_check(
     for n in range(1, n_max + 1):
         k_pt, k_dual = -_mu(beta, n, cache) / 2, _mu(beta, -n, cache) / 2
         right = (k_dual + _next_above(_grid(beta, cache), k_dual)) / 2
-        entries = chamber_values(model, beta, n, k_pt - 1, right, cache)
-        p_plus, p_minus = entries[0][1], entries[-1][1]
+        runs = chamber_runs(model, beta, n, k_pt - 1, right, cache)
+        # the split (beta, 0) puts the wall -n/(2 deg beta) in [k_pt, k_dual], so the last chamber
+        # is not the first: it holds an int seed that no jump changed as a Fraction
+        p_plus, p_minus = runs[0][2], _as_fraction(runs[-1][2])
         n_value = model.n_table.get((n, beta))
         defect = (p_plus - p_minus) - (-1) ** (n - 1) * n * (n_value or Fraction(0))
         rows.append(SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect))

@@ -150,11 +150,12 @@ class NumericalThreefold(_ModelFields):
             )
 
     def degree_vector(self, coeffs: Iterable[Fraction]) -> Fraction:
-        """Degree of a rational curve vector (used for ch2 of sheaf classes)."""
+        """Degree of a rational curve vector (used for ch2 of sheaf classes), a Fraction; a
+        coordinate that is not a Fraction is converted, a Fraction is multiplied as given."""
         coeffs = tuple(coeffs)
         if len(coeffs) != self.rank:
             raise TableArgumentError("rank mismatch in degree pairing")
-        return sum((Fraction(c) * d for c, d in zip(coeffs, self.degrees)), Fraction(0))
+        return sum((_as_fraction(c) * d for c, d in zip(coeffs, self.degrees)), Fraction(0))
 
 
 def degree(model: NumericalThreefold, gamma: CurveClass) -> Fraction:

@@ -115,10 +115,11 @@ def _duplicate(section: Optional[str], key, line: int, first: int) -> ModelParse
 def _read(text: str, tables: Dict[Optional[str], dict]) -> Optional[tuple]:
     """Write each entry line of ``text`` once into its table in ``tables``.
 
-    Each distinct class text and value text is converted once per call.
-    Stops at the first entry whose key its table already holds and returns
-    (section, key, line number); returns None when there is none.
+    Each distinct n text, class text and value text is converted once per
+    call.  Stops at the first entry whose key its table already holds and
+    returns (section, key, line number); returns None when there is none.
     """
+    ns: Dict[str, int] = {}
     classes: Dict[str, CurveClass] = {}
     values: Dict[str, Fraction] = {}
     section, seeded, target = None, False, tables[None]
@@ -142,14 +143,20 @@ def _read(text: str, tables: Dict[Optional[str], dict]) -> Optional[tuple]:
         elif section != "basis":
             n, class_text = None, key
             if seeded:
-                m = _SEEDED_KEY.fullmatch(key)
-                if not m:
-                    what = f"expected 'n (class) = value' in [{section}], got {line!r}"
-                    raise ModelParseError(what, lineno)
-                try:
-                    n, class_text = int(m[1]), m[2]
-                except ValueError:  # past int()'s digit limit, which _int reports
-                    n, class_text = _int(m[1], lineno), m[2]
+                # _SEEDED_KEY matches a key iff the text before its first ( matches the n
+                # part and the rest the class part.  ns holds n texts of matched keys only, and
+                # classes class texts that parsed, which end with ) if they start with (: so
+                # a key whose n text and class text are both known matches.
+                split = key.find("(")
+                n_text, class_text = key[:split], key[split:]
+                n = ns.get(n_text)
+                if split < 0 or n is None or class_text not in classes:
+                    m = _SEEDED_KEY.fullmatch(key)
+                    if not m:
+                        what = f"expected 'n (class) = value' in [{section}], got {line!r}"
+                        raise ModelParseError(what, lineno)
+                    if n is None:
+                        n = ns[n_text] = _int(m[1], lineno)
             gamma = classes.get(class_text)
             if gamma is None:
                 gamma = classes[class_text] = parse_class(class_text, lineno)

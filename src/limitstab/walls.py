@@ -15,7 +15,7 @@ basis-degree denominators, every effective class has the integer degree
 e = D * deg, and the wall m / (2 * deg) is j / G with G = lcm of the 2e over
 the degrees e <= D * deg(beta) and j = m * D * G / (2e).  So the walls of
 beta are the j / G whose j is a multiple of one of the steps D * G / (2e).
-``_walls_in`` merges those progressions over a window on ints, for
+``_wall_ints`` merges those progressions over a window on ints, for
 ``wall_set``, ``is_wall`` and the crossing tables, and ``_next_above`` takes
 the smallest next multiple.  A Fraction is made only for a wall returned.
 
@@ -89,13 +89,18 @@ def _grid_of(scale: int, scaled: Tuple[int, ...], coeffs: Tuple[int, ...]):
     return grid, tuple(scale * grid // (2 * e) for e in reached)
 
 
+def _wall_ints(grid_steps: Tuple[int, Tuple[int, ...]], j_lo: int, j_hi: int) -> List[int]:
+    """The j in [j_lo, j_hi], sorted, whose j/G is a wall of the class whose ``_wall_grid``
+    is ``grid_steps`` = (G, steps)."""
+    return sorted({j for s in grid_steps[1] for j in range(-(-j_lo // s) * s, j_hi + 1, s)})
+
+
 def _walls_in(grid_steps: Tuple[int, Tuple[int, ...]], k_lo: Fraction, k_hi: Fraction):
     """The walls in [k_lo, k_hi] of the class whose ``_wall_grid`` is ``grid_steps``, sorted."""
-    grid, steps = grid_steps
+    grid = grid_steps[0]
     j_lo = -(-k_lo.numerator * grid // k_lo.denominator)  # ceil(k_lo * grid)
     j_hi = k_hi.numerator * grid // k_hi.denominator
-    found = {j for s in steps for j in range(-(-j_lo // s) * s, j_hi + 1, s)}
-    return tuple(Fraction(j, grid) for j in sorted(found))
+    return tuple(Fraction(j, grid) for j in _wall_ints(grid_steps, j_lo, j_hi))
 
 
 def _next_above(grid_steps: Tuple[int, Tuple[int, ...]], k: Fraction) -> Fraction:
@@ -103,16 +108,6 @@ def _next_above(grid_steps: Tuple[int, Tuple[int, ...]], k: Fraction) -> Fractio
     grid, steps = grid_steps
     j = k.numerator * grid // k.denominator  # floor(k * grid)
     return Fraction(min((j // s + 1) * s for s in steps), grid)
-
-
-def _chambers_of(walls: Tuple[Fraction, ...], k_lo: Fraction, k_hi: Fraction) -> List[Chamber]:
-    """Open intervals between the sorted ``walls`` of [k_lo, k_hi], clipped to it."""
-    points = list(walls)
-    if not points or points[0] != k_lo:
-        points.insert(0, k_lo)
-    if points[-1] != k_hi:
-        points.append(k_hi)
-    return [Chamber(a, b) for a, b in zip(points, points[1:])]
 
 
 def wall_set(

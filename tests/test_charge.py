@@ -88,6 +88,17 @@ def test_twisted_invariants_examples():
     assert (t1.v0, t1.w1, t1.w2, t1.v3) == (-1, 6, -2, 1)
 
 
+def test_a_chern_character_keeps_its_fraction_inputs_and_converts_the_rest():
+    r, c, gamma, n = F(-1), F(1, 2), (F(3), F(-1, 3)), F(5, 2)
+    ch = ChernCharacter(r, c, gamma, n)
+    assert ch.r is r and ch.c is c and ch.n is n
+    assert all(a is b for a, b in zip(ch.gamma, gamma, strict=True))
+    for converted in (ChernCharacter(-1, "1/2", (3, "-1/3"), "5/2"),
+                      ChernCharacter(-1, c, [3, F(-1, 3)], 2.5)):
+        assert converted == (r, c, gamma, n)
+        assert {type(x) for x in (converted.r, converted.c, *converted.gamma, converted.n)} == {F}
+
+
 def test_ch_of_pair_examples():
     ch = ch_of_pair(CurveClass((1,)), 1)
     assert (ch.r, ch.c, ch.gamma, ch.n) == (-1, 0, (F(1),), 1)

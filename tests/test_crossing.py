@@ -3,7 +3,9 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +14,7 @@ from limitstab import cli, crossing, geometry, walls
 from limitstab.charge import ch_of_sheaf
 from limitstab.comparator import destabilizing_threshold
 from limitstab.crossing import (
+    SymmetryRow,
     TableCache,
     WallDatum,
     chamber_runs,
@@ -264,6 +267,64 @@ def test_pt_symmetry_check_reads_right_of_a_positive_k_dual():
         (F(-2), F(-1, 2), F(0)), (F(-1, 2), F(1, 2), F(-1)), (F(1, 2), F(1), F(0))
     )
     assert (row.p_plus, row.relation_defect) == (0, 0)
+
+
+def _symmetry_rows_from_values(model, beta, n_max):
+    """``pt_symmetry_check``'s rows as its ``chamber_values`` route built them: each n's first and
+    last chamber value from k_pt - 1 to midway between k_dual and the next wall above it."""
+    rows = []
+    for n in range(1, n_max + 1):
+        k_pt, k_dual = pt_bounds(model, beta, n)
+        # the wall -n / (2 deg beta) lies in [k_pt, k_dual], so no window has one chamber only
+        assert k_pt <= -n / (2 * degree(model, beta)) <= k_dual
+        right = (k_dual + next_wall_above(model, beta, k_dual)) / 2
+        entries = chamber_values(model, beta, n, k_pt - 1, right)
+        p_plus, p_minus = entries[0][1], entries[-1][1]
+        n_value = model.n_table.get((n, beta))
+        defect = (p_plus - p_minus) - (-1) ** (n - 1) * n * (n_value or F(0))
+        rows.append(SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect))
+    return tuple(rows)
+
+
+def _ladder_models():
+    """The seed-1 ladder models of perfbench, each with the (beta, n_max) of its rung's queries:
+    the model is built by running those series, so it holds every seed that they read."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import ladder
+    finally:
+        sys.path.pop(0)
+    out = []
+    for rung in [rung for rung, _ in ladder.SESSION_LADDER] + list(ladder.LADDER):
+        pairs = [(CurveClass(beta), n) for beta, n in rung.queries]
+        run = lambda model, pairs=pairs: [pt_symmetry_check(model, *pair) for pair in pairs]
+        out.append((ladder.build_model(rung, 1, run), pairs))
+    return out
+
+
+def test_symmetry_rows_read_from_the_runs_equal_the_expanded_chambers():
+    double = conifold_double(1)
+    ints = _replaced(double, p_seed={key: int(v) for key, v in double.p_seed.items()})
+    # no count at all: every table keeps its int seed to its last chamber, as a Fraction there
+    flat = NumericalThreefold(
+        basis=[("C", 1)], omega_cubed=1, m_table={C1_: F(1), C2_: F(1)},
+        p_seed={(n, b): n * n for n in range(-3, 4) for b in (C1_, C2_)},
+    )
+    cases = [
+        (conifold_single(1), [(C1_, 4)]),
+        (conifold_pair(3, 2), [(PAIR_BETA, 2)]),
+        (double, [(C1_, 3), (C2_, 4)]),  # (2[C], 1) has no seed: both routes raise it
+        (ints, [(C1_, 3), (C2_, 4)]),
+        (flat, [(C1_, 3), (C2_, 3)]),
+        *_ladder_models(),
+    ]
+    for model, pairs in cases:
+        cache = TableCache()
+        for beta, n_max in pairs:
+            rows = _outcome(lambda: repr(pt_symmetry_check(model, beta, n_max, cache).rows))
+            assert rows == _outcome(lambda: repr(_symmetry_rows_from_values(model, beta, n_max)))
+    (row,) = pt_symmetry_check(flat, C2_, 1).rows
+    assert (repr(row.p_plus), repr(row.p_minus_derived)) == ("1", "Fraction(1, 1)")
 
 
 def test_the_symmetry_defect_subtracts_a_nonzero_dual_seed():
@@ -810,10 +871,10 @@ def test_table_seed_bounds_equal_pt_bounds(case):
     # for: from k_pt - 1 up to midway between k_dual and the next wall above it
     # (a strictly increasing function of k_dual)
     seen = []
-    values = lambda model, beta, n, lo, hi, cache: seen.append((lo + 1, hi)) or ((None, F(0)),)
+    runs = lambda model, beta, n, lo, hi, cache: seen.append((lo + 1, hi)) or ((lo, hi, F(0)),)
     shared = TableCache()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crossing, "chamber_values", values)
+        patch.setattr(crossing, "chamber_runs", runs)
         for beta in order:  # the zero class included
             seen.clear()
             outcome = _outcome(lambda: pt_symmetry_check(model, beta, 3, shared))
@@ -1421,22 +1482,28 @@ def _run_windows(model, beta, n):
 
 def _assert_runs_agree(model, beta, n, lo, hi, cache):
     """``chamber_runs``, on ``cache`` and on a fresh one, equals ``merge_runs`` of the entries of
-    ``chamber_values``, ``chamber_table`` and the reference march, in value, type and error."""
+    ``chamber_values``, ``chamber_table`` and the reference march, in value, type and error; and
+    those entries agree by repr."""
     runs = _outcome(lambda: repr(chamber_runs(model, beta, n, lo, hi, cache)))
     assert runs == _outcome(lambda: repr(chamber_runs(model, beta, n, lo, hi)))
-    assert runs == _outcome(lambda: repr(merge_runs(chamber_values(model, beta, n, lo, hi))))
-    assert runs == _outcome(lambda: repr(chamber_table(model, beta, n, lo, hi).merged()))
-    reference = lambda: repr(merge_runs(reference_engine.chamber_values(model, beta, n, lo, hi)))
-    assert runs == _outcome(reference)
+    reference = _outcome(lambda: reference_engine.chamber_values(model, beta, n, lo, hi))
+    for entries in (_outcome(lambda: chamber_values(model, beta, n, lo, hi)),
+                    _outcome(lambda: chamber_table(model, beta, n, lo, hi).entries), reference):
+        assert repr(entries) == repr(reference)
+        assert runs == (entries if entries[0] == "error" else ("ok", repr(merge_runs(entries[1]))))
 
 
 def test_runs_equal_the_merged_chambers_on_the_reference_windows():
     for model, beta, _, rows in reference_tables():
-        cache = TableCache()
-        for n, lo, hi, *_ in rows:
-            for n, lo, hi in ((n, lo, hi), (-n, -hi, -lo)):
-                for lo, hi in [(lo, hi)] + _run_windows(model, beta, n):
-                    _assert_runs_agree(model, beta, n, lo, hi, cache)
+        # and with every integral seed stored as an int
+        ints = _replaced(model, p_seed={k: int(v) for k, v in model.p_seed.items()
+                                        if v.denominator == 1})
+        for variant in (model, ints):
+            cache = TableCache()
+            for n, lo, hi, *_ in rows:
+                for n, lo, hi in ((n, lo, hi), (-n, -hi, -lo)):
+                    for lo, hi in [(lo, hi)] + _run_windows(variant, beta, n):
+                        _assert_runs_agree(variant, beta, n, lo, hi, cache)
 
 
 def test_runs_equal_the_merged_chambers_on_the_heavy_curve_models():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitstab import geometry
-from limitstab.errors import ModelDataError
+from limitstab.errors import ModelDataError, TableArgumentError
 from limitstab.geometry import (
     CurveClass,
     NumericalThreefold,
@@ -42,6 +42,21 @@ def test_degree_examples():
 def test_degree_rejects_rank_mismatch():
     with pytest.raises(ValueError, match="rank"):
         degree(conifold_single(1), CurveClass((1, 0)))
+
+
+def test_degree_vector_equals_the_oracle_degree_on_fraction_int_and_mixed_coordinates():
+    model = NumericalThreefold(basis=[("A", F(1, 2)), ("B", 3), ("C", F(5, 3))], omega_cubed=1)
+    for coeffs in [(0, 0, 0), (1, 2, 3), (4, 0, 7)]:
+        expected = reference_engine.degree(model, CurveClass(coeffs))
+        assert type(expected) is F
+        for vector in (coeffs, tuple(map(F, coeffs)), (F(coeffs[0]), coeffs[1], F(coeffs[2]))):
+            value = model.degree_vector(vector)
+            assert (value, type(value)) == (expected, F)
+    # a sheaf's ch2 has rational coordinates; a str coordinate is converted
+    assert model.degree_vector((F(1, 3), -2, F(-7, 4))) == F(1, 6) - 6 - F(35, 12)
+    assert model.degree_vector(("1/3", 0, F(0))) == F(1, 6)
+    with pytest.raises(TableArgumentError, match="^rank mismatch in degree pairing$"):
+        model.degree_vector((F(1), F(2)))
 
 
 def test_effective_below_examples():

@@ -1,9 +1,11 @@
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitstab import modelio
 from limitstab.errors import LimitStabError, ModelParseError, TableArgumentError
 from limitstab.geometry import CurveClass, NumericalThreefold
 from limitstab.modelio import (
@@ -309,3 +311,130 @@ def test_preset_argument_validation():
         build_preset("conifold_single", (F(0),))
     with pytest.raises(TableArgumentError, match="unknown preset"):
         build_preset("nonexistent", ())
+
+
+def _frozen_read(text, tables):
+    """``modelio._read`` as it was before it converted each n text once: the reference that the
+    parity test below holds the reader to.  It converts every key's n and matches every seeded
+    key against ``_SEEDED_KEY``."""
+    classes, values = {}, {}
+    section, seeded, target = None, False, tables[None]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            section = line[1:-1].strip()
+            if section not in modelio._SECTIONS:
+                raise ModelParseError(f"unknown section [{section}]", lineno)
+            seeded, target = section in ("n_table", "p_seed"), tables[section]
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ModelParseError(f"expected 'key = value', got {line!r}", lineno)
+        key = key.strip()
+        if section is None:
+            if key not in modelio._SCALARS:
+                raise ModelParseError(f"unknown top-level key {key!r}", lineno)
+        elif section != "basis":
+            n, class_text = None, key
+            if seeded:
+                m = modelio._SEEDED_KEY.fullmatch(key)
+                if not m:
+                    what = f"expected 'n (class) = value' in [{section}], got {line!r}"
+                    raise ModelParseError(what, lineno)
+                try:
+                    n, class_text = int(m[1]), m[2]
+                except ValueError:
+                    n, class_text = modelio._int(m[1], lineno), m[2]
+            gamma = classes.get(class_text)
+            if gamma is None:
+                gamma = classes[class_text] = parse_class(class_text, lineno)
+            key = gamma if n is None else (n, gamma)
+        if key in target:
+            return section, key, lineno
+        number = values.get(value)
+        if number is None:
+            number = values[value] = parse_rational(value, lineno)
+        target[key] = number
+    return None
+
+
+def _parsed(text, read=None):
+    """``parse_model(text)``, with ``modelio._read`` replaced by ``read`` if given: every field of
+    the model by repr, dict order included, or the parse error's text and line."""
+    with mock.patch.object(modelio, "_read", read or modelio._read):
+        try:
+            model = parse_model(text)
+        except ModelParseError as exc:
+            return "error", str(exc), exc.line
+    return "model", [repr(list(f.items())) if isinstance(f, dict) else repr(f) for f in model]
+
+
+_LONG = "1" * 5000  # past int()'s default digit limit
+_HEAD2 = "omega_cubed = 6\n[basis]\nC = 1\nD = 2\n"
+
+
+@pytest.mark.parametrize("text", [
+    # one n in three spacings: one n text converted per spacing, a repeat named by either
+    _HEAD2 + "[n_table]\n-8 (1,0) = 1\n-8\t(0,1) = 1\n  -8   (1,1) = 2\n-8 (0,1) = 3\n",
+    _HEAD2 + "[p_seed]\n-8 (1,0) = 1\n-8\t(0,1) = 1\n  -8   (1,1) = 2\n-8\t(1,0) = 3\n",
+    # an n text and a class text both seen before, in other keys
+    _HEAD2 + "[m_table]\n(1,1) = 1\n[n_table]\n2 (1,0) = 1\n3 (1,1) = 1\n2 (1,1) = 1\n3  (1,0) = 2\n",
+    # a seeded key with no (, after its n text was seen; an unclosed class; a class without (
+    _HEAD2 + "[n_table]\n3 (1,0) = 1\n3 1,0 = 1\n",
+    _HEAD2 + "[n_table]\n3 (1,0) = 1\n3 (1,2 = 1\n",
+    _HEAD2 + "[m_table]\n1,0 = 1\n[n_table]\n3 1,0 = 1\n",
+    # its last character a class text seen in [m_table], the rest an n text seen before
+    "omega_cubed = 6\n[basis]\nC = 1\n[m_table]\n1 = 1\n[n_table]\n-8 (1) = 1\n-8 1 = 1\n",
+    _HEAD2 + "[m_table]\n1,0 = 1\n 0 , 1 = 2\n(1,1) = 1\n",
+    _HEAD2 + "[m_table]\n(1,0 = 1\n",
+    # a 5000-digit n, new and after its class text was seen
+    _HEAD2 + f"[p_seed]\n{_LONG} (1,0) = 1\n",
+    _HEAD2 + f"[p_seed]\n1 (1,0) = 1\n{_LONG} (1,0) = 1\n",
+    _HEAD2 + f"[p_seed]\n1 (1,0) = 1\n1 ({_LONG},0) = 1\n",
+    # a repeated entry whose repeat has a malformed value: the repeat is named first
+    _HEAD2 + "[n_table]\n1 (1,0) = 1\n1 (1,0) = x\n",
+    _HEAD2 + "[n_table]\n1 (1,0) = 1\n1  (1,0) = 1/0\n",
+    # an unknown section after entries, and a new n text with a malformed value
+    _HEAD2 + "[n_table]\n1 (1,0) = 1\n[bogus]\n",
+    _HEAD2 + "[n_table]\n1 (1,0) = 1\n2 (1,0) = x\n",
+    # a wrong-rank class, named by the model check
+    _HEAD2 + "[n_table]\n1 (1,0) = 1\n1 (1) = 1\n",
+])
+def test_the_reader_equals_its_frozen_copy_on_the_edge_cases(text):
+    assert _parsed(text) == _parsed(text, _frozen_read)
+
+
+# (texts that read, texts that do not); a seeded key is spaces, n, a gap and a class
+_SPACES = (["", " ", "\t"], [])
+_GAPS = ([" ", "\t", "   ", " \x1f"], ["", " \x1c "])  # \x1c ends a line, \x1f does not
+_N_TEXTS = (["-8", "1", "0", "-0", "08"], ["+1", "1x", _LONG])
+_CLASSES = (["(1,0)", "(0,1)", "( 1 , 0 )", "(1,1)"], ["(1)", "(1,2", "()", "(1,0))", "(1,-0)"])
+_M_CLASSES = (_CLASSES[0] + ["1,0", " 0 , 1", "1"], _CLASSES[1])
+_SEEDED_CLASSES = (_CLASSES[0], _CLASSES[1] + ["1,0", "1", "x(1,0)"])
+_VALUES = (["1", "-1/4", " 3/2 ", "2/4"], ["1/0", "x", _LONG])
+
+
+@st.composite
+def _model_texts(draw):
+    """Model texts from few distinct n, class and value texts, so that keys, texts and
+    repeats recur; about one text in 40 does not read, so errors come at any line."""
+    text = lambda pools: draw(st.sampled_from(pools[draw(st.integers(0, 39)) == 0] or pools[0]))
+    lines = ["omega_cubed = 6", "[basis]", "C = 1"] + draw(st.sampled_from([[], ["D = 2"]]))
+    sections = st.sampled_from(["m_table", "n_table", "p_seed"] * 3 + ["bogus"])
+    for section in draw(st.lists(sections, max_size=4)):
+        lines.append(f"[{section}]")
+        for _ in range(draw(st.integers(0, 3 if section == "m_table" else 8))):
+            if section == "m_table":
+                key = text(_M_CLASSES)
+            else:
+                key = text(_SPACES) + text(_N_TEXTS) + text(_GAPS) + text(_SEEDED_CLASSES)
+            lines.append(f"{key} = {text(_VALUES)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_model_texts())
+def test_the_reader_equals_its_frozen_copy(text):
+    assert _parsed(text) == _parsed(text, _frozen_read)

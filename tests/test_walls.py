@@ -10,7 +10,6 @@ from limitstab.geometry import CurveClass, NumericalThreefold, degree, effective
 from limitstab.presets import conifold_double, conifold_pair, conifold_single
 from limitstab.walls import (
     Chamber,
-    _chambers_of,
     is_wall,
     mu_threshold,
     next_wall_above,
@@ -210,8 +209,9 @@ def test_pt_bounds_land_on_the_wall_lattice():
 
 def _chambers(model, beta, k_lo, k_hi):
     """The chambers of beta's walls in [k_lo, k_hi], clipped to it, as chamber_table cuts them."""
-    ws = wall_set(model, beta, k_lo, k_hi)
-    return _chambers_of(ws.walls, *ws.interval)
+    k_lo, k_hi = F(k_lo), F(k_hi)
+    points = [k_lo, *(w for w in wall_set(model, beta, k_lo, k_hi).walls if k_lo < w < k_hi), k_hi]
+    return [Chamber(a, b) for a, b in zip(points, points[1:])]
 
 
 def test_chambers_examples():
