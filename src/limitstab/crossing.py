@@ -3,8 +3,8 @@
 Writing L(beta, n)(k) for the piecewise-constant invariant on the twist line,
 the engine reproduces it from three ingredients:
 
-* the seed law: L equals the stable-pair seed P(n, beta) on every chamber
-  below k_pt = -mu(beta, n)/2;
+* the seed law: L equals the stable-pair seed P(n, beta) below
+  k_pt = -mu(beta, n)/2, so no wall below k_pt may jump;
 * the jump law at a wall k0 (slope mu = -2*k0):
 
       L(left of k0) - L(right of k0)
@@ -266,8 +266,8 @@ def _march(
 
     L(0, n) = delta_{n,0}, unmemoized.  Otherwise the seed minus the jumps at
     every wall w with k_pt <= w < k, plus w = k itself when the value just
-    right of k is wanted.  Walls below k_pt carry no admissible data with a
-    nonzero jump (the seed law), so the ledger of (beta, n) starts at
+    right of k is wanted.  No wall below k_pt may jump (the seed law, which
+    the tables enforce), so the ledger of (beta, n) starts at
     ceil(k_pt * G) on beta's grid: from ``_mu_ints`` once per ledger for a
     fill's read (``cached_mu``), from ``mu_threshold`` on every miss of a
     point query.  A miss extends the ledger over the ints j up to k only, and
@@ -492,21 +492,22 @@ def _window(model: NumericalThreefold, beta: CurveClass, n: int, k_lo, k_hi, cac
 
 
 def _jump_runs(model: NumericalThreefold, beta: CurveClass, n: int, cache, k_lo, k_hi, k_pt, seed):
-    """The tables' one jump sum on a checked ``_window``, over all its walls: the int j of each
-    wall j/G with a nonzero jump, and the values of the runs, the seed as stored first."""
+    """The one jump sum of the tables and the series on a checked window, ``_window``'s or
+    ``pt_symmetry_check``'s, over all its walls: the int j of each wall j/G with a nonzero
+    jump, and the values of the runs, the seed as stored first."""
     G, _ = grid = _grid(beta, cache)
     js, values = [], [seed]
     for j, total in _jumps(model, beta, n, *_inside(G, k_lo, k_hi), cache):
         if total:
             js.append(j)
             values.append(values[-1] - total)
-    # checked after every fill, so a fill's own error wins; the first jump ends the seed's run
-    if js and js[0] * k_pt.denominator < k_pt.numerator * G:  # its wall j/G lies below k_pt
-        if (hi := min(_next_above(grid, lo := Fraction(js[0], G)), k_hi)) <= k_pt:
-            raise ModelDataError(
-                f"model data violate the seed law: chamber {Chamber(lo, hi)} below "
-                f"k_pt = {show(k_pt)} carries {show(values[1])} != seed {show(seed)}"
-            )
+    # checked after every fill, so a fill's own error wins; no wall j/G below k_pt may jump
+    if js and js[0] * k_pt.denominator < k_pt.numerator * G:
+        chamber = Chamber(lo := Fraction(js[0], G), min(_next_above(grid, lo), k_hi))
+        raise ModelDataError(
+            f"model data violate the seed law: chamber {chamber} below "
+            f"k_pt = {show(k_pt)} carries {show(values[1])} != seed {show(seed)}"
+        )
     return js, values
 
 
@@ -569,10 +570,10 @@ def pt_symmetry_check(
     for n in range(1, n_max + 1):
         k_pt, k_dual = -_mu(beta, n, cache) / 2, _mu(beta, -n, cache) / 2
         right = (k_dual + _next_above(_grid(beta, cache), k_dual)) / 2
-        runs = chamber_runs(model, beta, n, k_pt - 1, right, cache)
+        _, values = _jump_runs(model, beta, n, cache, k_pt - 1, right, k_pt, _seed(model, beta, n))
         # the split (beta, 0) puts the wall -n/(2 deg beta) in [k_pt, k_dual], so the last chamber
         # is not the first: it holds an int seed that no jump changed as a Fraction
-        p_plus, p_minus = runs[0][2], _as_fraction(runs[-1][2])
+        p_plus, p_minus = values[0], _as_fraction(values[-1])
         n_value = model.n_table.get((n, beta))
         defect = (p_plus - p_minus) - (-1) ** (n - 1) * n * (n_value or Fraction(0))
         rows.append(SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect))

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import TableArgumentError, show
 from .geometry import (
@@ -54,18 +54,16 @@ class WallSet(NamedTuple):
 
 
 class Chamber(NamedTuple):
-    """Open interval between consecutive walls; None marks an unbounded end."""
+    """Open interval between consecutive walls."""
 
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    lo: Fraction
+    hi: Fraction
 
     def contains(self, k: Fraction) -> bool:
-        return (self.lo is None or k > self.lo) and (self.hi is None or k < self.hi)
+        return self.lo < k < self.hi
 
     def __str__(self) -> str:
-        lo = "-inf" if self.lo is None else show(self.lo)
-        hi = "+inf" if self.hi is None else show(self.hi)
-        return f"({lo}, {hi})"
+        return f"({show(self.lo)}, {show(self.hi)})"
 
 
 def _wall_grid(model: NumericalThreefold, beta: CurveClass) -> Tuple[int, Tuple[int, ...]]:

@@ -192,7 +192,7 @@ def chamber_table(model, beta, n, k_lo, k_hi):
         reports.append(report)
         entries.append((Chamber(lo, hi), value))
     for chamber, val in entries:
-        if chamber.hi > k_pt:
+        if chamber.lo >= k_pt:
             break
         if val != seed:
             raise ModelDataError(

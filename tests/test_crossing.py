@@ -269,17 +269,18 @@ def test_pt_symmetry_check_reads_right_of_a_positive_k_dual():
     assert (row.p_plus, row.relation_defect) == (0, 0)
 
 
-def _symmetry_rows_from_values(model, beta, n_max):
-    """``pt_symmetry_check``'s rows as its ``chamber_values`` route built them: each n's first and
-    last chamber value from k_pt - 1 to midway between k_dual and the next wall above it."""
+def _symmetry_rows_from(fill, model, beta, n_max, cache=None):
+    """``pt_symmetry_check``'s rows as its route through ``fill`` built them, ``chamber_values``
+    or ``chamber_runs`` on ``cache``: each n's first and last value, the last as a Fraction, from
+    k_pt - 1 to midway between k_dual and the next wall above it."""
     rows = []
     for n in range(1, n_max + 1):
         k_pt, k_dual = pt_bounds(model, beta, n)
         # the wall -n / (2 deg beta) lies in [k_pt, k_dual], so no window has one chamber only
         assert k_pt <= -n / (2 * degree(model, beta)) <= k_dual
         right = (k_dual + next_wall_above(model, beta, k_dual)) / 2
-        entries = chamber_values(model, beta, n, k_pt - 1, right)
-        p_plus, p_minus = entries[0][1], entries[-1][1]
+        values = fill(model, beta, n, k_pt - 1, right, cache)
+        p_plus, p_minus = values[0][-1], F(values[-1][-1])
         n_value = model.n_table.get((n, beta))
         defect = (p_plus - p_minus) - (-1) ** (n - 1) * n * (n_value or F(0))
         rows.append(SymmetryRow(n, p_plus, p_minus, model.p_seed.get((-n, beta)), n_value, defect))
@@ -302,7 +303,7 @@ def _ladder_models():
     return out
 
 
-def test_symmetry_rows_read_from_the_runs_equal_the_expanded_chambers():
+def test_symmetry_rows_read_from_the_runs_equal_the_expanded_chambers(monkeypatch):
     double = conifold_double(1)
     ints = _replaced(double, p_seed={key: int(v) for key, v in double.p_seed.items()})
     # no count at all: every table keeps its int seed to its last chamber, as a Fraction there
@@ -318,11 +319,21 @@ def test_symmetry_rows_read_from_the_runs_equal_the_expanded_chambers():
         (flat, [(C1_, 3), (C2_, 3)]),
         *_ladder_models(),
     ]
+    bounded, mu_ints = [], crossing._mu_ints
+    spy = lambda beta, n, cache: bounded.append((beta, n)) or mu_ints(beta, n, cache)
+    monkeypatch.setattr(crossing, "_mu_ints", spy)
     for model, pairs in cases:
-        cache = TableCache()
+        cache, runs_cache = TableCache(), TableCache()
         for beta, n_max in pairs:
+            bounded.clear()
             rows = _outcome(lambda: repr(pt_symmetry_check(model, beta, n_max, cache).rows))
-            assert rows == _outcome(lambda: repr(_symmetry_rows_from_values(model, beta, n_max)))
+            # two bounds of beta per n, up to an error; every other bound is a sub-table's
+            own = [read for read in bounded if read[0] == beta]
+            pinned = [(beta, signed) for n in range(1, n_max + 1) for signed in (n, -n)]
+            assert own == (pinned if rows[0] == "ok" else pinned[:len(own)])
+            for fill, shared in ((chamber_values, None), (chamber_runs, runs_cache)):
+                route = lambda: repr(_symmetry_rows_from(fill, model, beta, n_max, shared))
+                assert rows == _outcome(route)
     (row,) = pt_symmetry_check(flat, C2_, 1).rows
     assert (repr(row.p_plus), repr(row.p_minus_derived)) == ("1", "Fraction(1, 1)")
 
@@ -867,21 +878,44 @@ def test_table_seed_bounds_equal_pt_bounds(case):
                 f"interval must start below the seed bound k_pt = {bounds[0][0]}, got k_lo = 99"
             ))
             assert _outcome(lambda: chamber_table(model, beta, n, 99, 100, cache)) == expected
-    # pt_symmetry_check's (k_pt, k_dual) for each n, read off the values it asks
-    # for: from k_pt - 1 up to midway between k_dual and the next wall above it
-    # (a strictly increasing function of k_dual)
-    seen = []
-    runs = lambda model, beta, n, lo, hi, cache: seen.append((lo + 1, hi)) or ((lo, hi, F(0)),)
-    shared = TableCache()
+    # pt_symmetry_check's bounds, windows and seeds, read off the calls it makes: the drawn
+    # model has no seed, so its first n's seed read raises; the copy has seeds at n = 1, 2 only
+    seeded = _replaced(model, p_seed={(n, beta): F(n) for n in (1, 2) for beta in order})
+    seen, bounded, mu_ints = [], [], crossing._mu_ints
+    jump_runs = lambda model, beta, n, cache, *window: seen.append(window) or ([], [window[-1]])
+    spy = lambda beta, n, cache: bounded.append((beta, n)) or mu_ints(beta, n, cache)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crossing, "chamber_runs", runs)
-        for beta in order:  # the zero class included
-            seen.clear()
-            outcome = _outcome(lambda: pt_symmetry_check(model, beta, 3, shared))
-            bounds, error = _bounds_or_error(model, beta, [1, 2, 3])
-            right = lambda k_dual: (k_dual + next_wall_above(model, beta, k_dual)) / 2
-            assert seen == [(k_pt, right(k_dual)) for k_pt, k_dual in bounds]
-            assert outcome[0] == "ok" if error is None else outcome == error
+        patch.setattr(crossing, "_jump_runs", jump_runs)
+        patch.setattr(crossing, "_mu_ints", spy)
+        for copy in (model, seeded):
+            shared = TableCache()
+            for beta in order:  # the zero class included
+                seen.clear()
+                bounded.clear()
+                outcome = _outcome(lambda: pt_symmetry_check(copy, beta, 3, shared))
+                reads, windows, error = _symmetry_reads(copy, beta, 3)
+                assert (bounded, seen) == (reads, windows)
+                assert outcome[0] == "ok" if error is None else outcome == error
+
+
+def _symmetry_reads(model, beta, n_max):
+    """What ``pt_symmetry_check`` reads, by the reference, in order up to its first error: the
+    (beta, n) of each bound, two per n; each n's window, from k_pt - 1 to midway between k_dual
+    and the next wall above it (a strictly increasing function of k_dual), with k_pt and the
+    seed; and the error, or None."""
+    bounded, windows = [], []
+    try:
+        for n in range(1, n_max + 1):
+            mu = []
+            for signed in (n, -n):
+                bounded.append((beta, signed))
+                mu.append(reference_engine.mu_threshold(model, beta, signed))
+            k_pt, k_dual = -mu[0] / 2, mu[1] / 2
+            right = (k_dual + next_wall_above(model, beta, k_dual)) / 2
+            windows.append((k_pt - 1, right, k_pt, reference_engine._seed(model, beta, n)))
+    except (TableArgumentError, ModelDataError) as exc:
+        return bounded, windows, ("error", type(exc), str(exc))
+    return bounded, windows, None
 
 
 _NON_INTEGERS = [F(p, q) for q in (2, 3, 4) for p in range(-2 * q, 3 * q) if math.gcd(p, q) == 1]
@@ -1528,3 +1562,51 @@ def test_runs_equal_the_merged_chambers_on_drawn_models(case, n, data):
     model, beta = case
     lo, hi = data.draw(st.sampled_from(_run_windows(model, beta, n)))
     _assert_runs_agree(model, beta, n, lo, hi, TableCache())
+
+
+_HALVES_AND_THIRDS = [v for v in _NON_INTEGERS if v.denominator < 4]
+
+
+@st.composite
+def _fractional_m_tables(draw):
+    """(model, beta): rank 1 or 2, every m a half or a third, so that k_pt = -mu/2 is often no
+    wall of beta; sparse counts and a seed everywhere.  beta has a split (beta1, beta2) with
+    beta2 != 0, and rank 2 often has equal basis degrees: that is where a wall below k_pt jumps."""
+    rank = draw(st.integers(1, 2))
+    degrees = [draw(st.sampled_from([F(1), F(2), F(1, 2)]))]
+    degrees += [draw(st.sampled_from([degrees[0], F(1), F(2), F(1, 2)])) for _ in range(rank - 1)]
+    coeffs = [draw(st.integers(3 - rank, 4 - rank)) for _ in range(rank)]
+    deg = lambda g: sum(c * d for c, d in zip(g, degrees))
+    cone = [g for g in itertools.product(*(range(int(deg(coeffs) / d) + 1) for d in degrees))
+            if any(g) and deg(g) <= deg(coeffs)]
+    box = [g for g in itertools.product(*(range(c + 1) for c in coeffs)) if any(g)]
+    counts = st.sampled_from([None, F(1), F(-1, 2), F(2)])
+    n_table = {(n1, CurveClass(g)): draw(counts) for g in box for n1 in range(-4, 5) if n1}
+    model = NumericalThreefold(
+        basis=tuple((f"C{i}", d) for i, d in enumerate(degrees)),
+        omega_cubed=F(6),
+        m_table={CurveClass(g): draw(st.sampled_from(_HALVES_AND_THIRDS)) for g in cone},
+        n_table={key: v for key, v in n_table.items() if v is not None},
+        p_seed=_SeedEverywhere(),
+    )
+    return model, CurveClass(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fractional_m_tables())
+def test_a_table_that_stands_holds_the_point_values_where_k_pt_is_no_wall(case):
+    # a table refuses every jump below k_pt, where the march of a point query starts, so each
+    # chamber of a table that does not raise holds the point value at its middle
+    model, top = case
+    shared = TableCache()
+    box = itertools.product(*(range(c + 1) for c in top.coeffs))
+    for beta, n in itertools.product([CurveClass(g) for g in box if any(g)], range(-2, 3)):
+        k_pt = pt_bounds(model, beta, n)[0]
+        for cache in (None, shared):
+            table = _outcome(lambda: chamber_table(model, beta, n, k_pt - 1, k_pt + 2, cache))
+            if table[0] == "error":
+                assert table[2].startswith("model data violate the seed law: chamber ")
+                continue
+            for chamber, value in table[1].entries:
+                middle = (chamber.lo + chamber.hi) / 2
+                assert invariant_value(model, beta, n, middle, False, cache) == value

@@ -385,8 +385,8 @@ def test_value_types_are_immutable_named_tuples():
     assert sorted([CurveClass((1, 0)), CurveClass((0, 2)), CurveClass((0, 1))]) == [
         CurveClass((0, 1)), CurveClass((0, 2)), CurveClass((1, 0))
     ]
-    lo, hi = Chamber(F(-1), None)
-    assert (lo, hi) == (-1, None) and Chamber(F(-1), None) == (-1, None)
+    lo, hi = Chamber(F(-1), F(0))
+    assert (lo, hi) == (-1, 0) and Chamber(F(-1), F(0)) == (-1, 0)
 
     assert ch == (-1, 0, (2,), 4)
     assert all(type(x) is Fraction for x in (ch.r, ch.c, *ch.gamma, ch.n))

@@ -39,6 +39,8 @@ from limitstab.geometry import CurveClass, NumericalThreefold, min_ch3
 from limitstab.modelio import serialize_model
 from limitstab.walls import mu_threshold
 
+import reference_engine
+
 F = Fraction
 
 
@@ -152,17 +154,54 @@ def test_a_missing_sub_table_seed_at_a_later_wall_is_reported_before_the_seed_la
 ])
 def test_every_table_path_raises_the_seed_law_and_fill_errors_alike(changes, message, tmp_path, capsys):
     model = _replaced(heavy_curve_model(p3_minus=F(-8), p3_plus=F(1)), **changes)
-    cc = CurveClass((2,))
+    _assert_every_table_path_raises(model, -5, "0:1", message, tmp_path, capsys)
+
+
+def _assert_every_table_path_raises(model, n, window, message, tmp_path, capsys):
+    """Each table of (2[C], n) over ``window``, ``lo:hi``, raises ``message``: the API's three
+    and the table command, which prints its runs only once all of them stand."""
+    lo, hi = map(F, window.split(":"))
     for table in (chamber_table, chamber_values, chamber_runs):
         with pytest.raises(ModelDataError, match=f"^{re.escape(message)}$"):
-            table(model, cc, -5, F(0), F(1))
-    # the table command prints its runs only once all of them stand
+            table(model, CurveClass((2,)), n, lo, hi)
     path = tmp_path / "inconsistent.model"
     path.write_text(serialize_model(model))
     out = io.StringIO()
-    argv = ["table", "--model", str(path), "--beta", "2", "--n", "-5", "--range", "0:1"]
+    argv = ["table", "--model", str(path), "--beta", "2", "--n", str(n), "--range", window]
     assert cli.main(argv, out=out) == 1
     assert (out.getvalue(), capsys.readouterr()) == ("", ("", f"error: {message}\n"))
+
+
+def off_wall_bound_model():
+    """m([C]) = -2/3 puts k_pt(2[C], 1) = -5/6 off every wall of 2[C]: inside (-1, -3/4)."""
+    c, cc = CurveClass((1,)), CurveClass((2,))
+    return NumericalThreefold(
+        basis=(("C", F(1)),),
+        omega_cubed=F(1),
+        m_table={c: F(-2, 3), cc: F(-1)},
+        n_table={(2, c): F(1)},
+        p_seed={(-1, c): F(-1), (1, cc): F(1)},
+    )
+
+
+def test_a_jump_below_k_pt_is_refused_where_k_pt_is_no_wall(tmp_path, capsys):
+    # ([C], [C]) with n1 = 2, n2 = -1 jumps by -2 * 1 * (-1) = 2 at -1; the chamber after it
+    # reaches past k_pt, but its part below k_pt would contradict the point query there
+    model, cc = off_wall_bound_model(), CurveClass((2,))
+    assert mu_threshold(model, cc, 1) == F(5, 3)
+    assert invariant_value(model, cc, 1, F(-7, 8)) == 1
+    message = "model data violate the seed law: chamber (-1, -3/4) below k_pt = -5/6 carries -1 != seed 1"
+    _assert_every_table_path_raises(model, 1, "-2:0", message, tmp_path, capsys)
+    # a window that ends inside that chamber names it up to the window's end
+    capped = message.replace("(-1, -3/4)", "(-1, -7/8)")
+    _assert_every_table_path_raises(model, 1, "-2:-7/8", capped, tmp_path, capsys)
+    with pytest.raises(ModelDataError, match=f"^{re.escape(message)}$"):
+        reference_engine.chamber_table(model, cc, 1, -2, 0)
+    # a window that starts above the jump stands and holds the point values
+    entries = chamber_values(model, cc, 1, F(-7, 8), F(0))
+    assert [invariant_value(model, cc, 1, (c.lo + c.hi) / 2) for c, _ in entries] == [
+        value for _, value in entries
+    ]
 
 
 def test_an_int_seeded_table_keeps_its_value_types():
